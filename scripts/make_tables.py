@@ -10,18 +10,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from altchains import (  # noqa: E402
-    CONWAY_SET,
-    build_base,
-    format_3dp,
-    generate_chain_m1,
-    generate_chain_m2,
-    generate_chain_m3,
-    growth_rates,
-    growth_table,
-    profile,
+from altchains import build_base, format_3dp, growth_rates, growth_table, profile  # noqa: E402
+from altchains.cli import paper_chain, render_table  # noqa: E402
+
+TITLES = (
+    "Method 1 (Conway base, modulus 17)",
+    "Method 2 (m=4, d=1, k=3)",
+    "Method 3 (closed form)",
 )
-from altchains.cli import render_table  # noqa: E402
 
 
 def main() -> None:
@@ -29,12 +25,7 @@ def main() -> None:
     parser.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     args = parser.parse_args()
 
-    m2_params = build_base(4, 1, 3)
-    named_chains = [
-        ("Method 1 (Conway base, modulus 17)", generate_chain_m1(CONWAY_SET, 17, 7)),
-        ("Method 2 (m=4, d=1, k=3)", generate_chain_m2(m2_params, 7)),
-        ("Method 3 (closed form)", generate_chain_m3(9)),
-    ]
+    named_chains = [(title, paper_chain(number)) for number, title in enumerate(TITLES, start=1)]
     for title, chain in named_chains:
         print(f"## {title}")
         print(render_table(growth_table(chain), args.format), end="")
@@ -51,7 +42,7 @@ def main() -> None:
         print(f"{title.split()[1]:<8} {p.card:>5} / {p.diameter:<12} {str(card_rate):>9} {str(diam_rate):>11}")
     # method 2 grows an 8-element, diameter-14 construction into its
     # 10-element first member; both footprints are worth reporting
-    base_profile = profile(m2_params.A)
+    base_profile = profile(build_base(4, 1, 3).A)
     print(
         f"(method 2 underlying base: card {base_profile.card}, "
         f"diameter {base_profile.diameter})"

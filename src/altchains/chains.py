@@ -9,16 +9,19 @@ max is absent, it stays absent in every later set.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .intset import (
+    _BITSET_SPAN_LIMIT,
     DIAMETER_ZERO,
     Density,
     IntSet,
     SetClass,
     SumDiffProfile,
+    _profile_from_counts,
     profile,
 )
 
@@ -42,12 +45,73 @@ class MethodTag(enum.Enum):
     EXTERNAL = "External"
 
 
-def _class_of(p: SumDiffProfile) -> SetClass:
-    if p.sum_card > p.diff_card:
-        return SetClass.MSTD
-    if p.diff_card > p.sum_card:
-        return SetClass.MDTS
-    return SetClass.BALANCED
+def _appended(prev: IntSet, cur: IntSet) -> Optional[tuple[int, ...]]:
+    """The elements `cur` adds outside the hull of `prev`, or None.
+
+    Not None exactly when prev is a proper subset of cur and no element of cur
+    falls inside [min(prev), max(prev)] without being in prev: then prev sits
+    in cur as one contiguous run, and cur adds only elements below and above.
+    """
+    if not prev:
+        return None
+    old, new, n = prev.elements, cur.elements, len(prev)
+    i = bisect_left(new, old[0])
+    if len(new) > n and new[i : i + n] == old:
+        return new[:i] + new[i + n :]
+    return None
+
+
+class _Masks:
+    """Sum and difference masks of a growing set, anchored at a fixed hull.
+
+    For x in [lo, hi], bit x-lo of `elems` and bit hi-x of `mirror` mark x in
+    the set; bit s-2lo of `sums` marks the sum s and bit t+(hi-lo) of `diffs`
+    marks the difference t.  When a set only appends to the previous one, each
+    new element costs one shift-OR per mask, whatever the set's size.
+    """
+
+    def __init__(self, lo: int, hi: int) -> None:
+        self.lo, self.hi = lo, hi
+        self.elems = self.mirror = self.sums = self.diffs = 0
+        self.current = IntSet()
+
+    @classmethod
+    def over(cls, sets: Iterable[IntSet]) -> Optional[_Masks]:
+        """Masks anchored at the hull of `sets`; None past the bitset cut."""
+        nonempty = [s for s in sets if s]
+        lo = min((s.min for s in nonempty), default=0)
+        hi = max((s.max for s in nonempty), default=0)
+        return cls(lo, hi) if hi - lo <= _BITSET_SPAN_LIMIT else None
+
+    def advance(self, cur: IntSet) -> None:
+        """Move to `cur`: add what it appends, or rebuild from it otherwise."""
+        new = _appended(self.current, cur)
+        if new is None:
+            self.elems = self.mirror = self.sums = self.diffs = 0
+            new = cur.elements
+        lo, hi = self.lo, self.hi
+        elems, mirror, sums, diffs = self.elems, self.mirror, self.sums, self.diffs
+        for x in new:
+            up, down = x - lo, hi - x
+            elems |= 1 << up
+            mirror |= 1 << down
+            sums |= elems << up
+            diffs |= (mirror << up) | (elems << down)
+        self.elems, self.mirror, self.sums, self.diffs = elems, mirror, sums, diffs
+        self.current = cur
+
+
+def _chain_profiles(members: Sequence[IntSet]) -> tuple[SumDiffProfile, ...]:
+    """Profiles of every member, grown from the previous member's masks."""
+    masks = _Masks.over(members)
+    if masks is None or not all(members):
+        # A wide hull takes the kernel's hash path; profile() refuses an empty member.
+        return tuple(profile(s) for s in members)
+    profiles = []
+    for s in members:
+        masks.advance(s)
+        profiles.append(_profile_from_counts(s, masks.sums.bit_count(), masks.diffs.bit_count()))
+    return tuple(profiles)
 
 
 @dataclass(frozen=True)
@@ -64,8 +128,8 @@ class Chain:
         members = tuple(sets)
         if not members:
             raise ValueError("a chain needs at least one set")
-        profiles = tuple(profile(s) for s in members)
-        classes = tuple(_class_of(p) for p in profiles)
+        profiles = _chain_profiles(members)
+        classes = tuple(p.set_class for p in profiles)
         return cls(sets=members, method_tag=method_tag, profiles=profiles, classes=classes)
 
     def __len__(self) -> int:
@@ -109,6 +173,8 @@ def validate_chain(chain: Chain) -> ValidationReport:
 
     for i in range(1, len(chain.sets)):
         prev, cur = chain.sets[i - 1], chain.sets[i]
+        if _appended(prev, cur) is not None:
+            continue
         if not prev.is_proper_subset(cur):
             missing = [v for v in prev if v not in cur]
             failures.append((i + 1, "strict-inclusion", missing[0] if missing else None))

@@ -14,7 +14,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 # Elements are capped so that a+b always fits a signed 64-bit word.
 SAFE_BOUND = 2**62 - 1
@@ -61,7 +61,9 @@ class _DiameterZero:
 
 DIAMETER_ZERO = _DiameterZero()
 
-Density = Union[Fraction, _DiameterZero]
+# A `|` union, not `typing.Union`: typing caches Union objects for the life of
+# the process, which would pin this module's classes across a re-import.
+Density = Fraction | _DiameterZero
 
 
 @dataclass(frozen=True)
@@ -192,12 +194,7 @@ def classify(A: IntSet) -> SetClass:
     """MSTD, MDTS or Balanced by comparing |A+A| with |A-A|."""
     if not A:
         return SetClass.BALANCED
-    s, d = len(sumset(A)), len(diffset(A))
-    if s > d:
-        return SetClass.MSTD
-    if d > s:
-        return SetClass.MDTS
-    return SetClass.BALANCED
+    return profile(A).set_class
 
 
 @dataclass(frozen=True)
@@ -211,6 +208,15 @@ class SumDiffProfile:
     density: Density
 
     @property
+    def set_class(self) -> SetClass:
+        """MSTD, MDTS or Balanced by comparing |A+A| with |A-A|."""
+        if self.sum_card > self.diff_card:
+            return SetClass.MSTD
+        if self.diff_card > self.sum_card:
+            return SetClass.MDTS
+        return SetClass.BALANCED
+
+    @property
     def density_text(self) -> str:
         if isinstance(self.density, _DiameterZero):
             return "N/A"
@@ -221,14 +227,15 @@ def profile(A: IntSet) -> SumDiffProfile:
     """Full profile of a nonempty set; density kept as an exact rational."""
     if not A:
         raise EmptyProfile("cannot profile the empty set")
+    return _profile_from_counts(A, len(sumset(A)), len(diffset(A)))
+
+
+def _profile_from_counts(A: IntSet, sum_card: int, diff_card: int) -> SumDiffProfile:
+    """Profile of a nonempty set whose |A+A| and |A-A| are already known."""
     diam = A.diameter
     density: Density = DIAMETER_ZERO if diam == 0 else Fraction(len(A), diam)
     return SumDiffProfile(
-        card=len(A),
-        sum_card=len(sumset(A)),
-        diff_card=len(diffset(A)),
-        diameter=diam,
-        density=density,
+        card=len(A), sum_card=sum_card, diff_card=diff_card, diameter=diam, density=density
     )
 
 

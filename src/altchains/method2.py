@@ -15,9 +15,9 @@ identities that the symmetry argument rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Iterator, Optional
 
-from .chains import Chain, MethodTag, ValidationReport
+from .chains import Chain, MethodTag, ValidationReport, _Masks
 from .intset import IntSet, diffset, profile, sumset
 from .nathanson import NathansonParams
 
@@ -42,25 +42,6 @@ class Method2Constraint:
                 f"d must be m/4 or 3m/4, got d={params.d} for m={params.m}"
             )
         return cls(m=params.m, d=params.d)
-
-    @property
-    def quarter(self) -> Fraction:
-        """Which quarter point d selects: 1/4 or 3/4."""
-        return Fraction(self.d, self.m)
-
-
-@dataclass(frozen=True)
-class Method2State:
-    """Position of the generator: `current` after `r` completed rounds."""
-
-    params: NathansonParams
-    r: int
-    current: IntSet
-
-    @property
-    def star(self) -> IntSet:
-        """The symmetric core: the current set with m removed."""
-        return self.current.without(self.params.m)
 
 
 def build_a1_m2(params: NathansonParams) -> IntSet:
@@ -104,6 +85,41 @@ def generate_chain_m2(params: NathansonParams, steps: int) -> Chain:
     return Chain.from_sets(sets, MethodTag.METHOD2)
 
 
+def _star_checks(
+    cores: list[IntSet], m: int
+) -> Iterator[tuple[Optional[int], Optional[int], int, int]]:
+    """Per core A*: the first m-a missing from A*-A* and the first m+a missing
+    from A*+A* (a running up through A*; None when all are there), then
+    |A*+A*| and |A*-A*|."""
+    masks = _Masks.over(cores)
+    if masks is None:
+        for star in cores:
+            sums, diffs = sumset(star), diffset(star)
+            diff_gap = next((m - a for a in star if m - a not in diffs), None)
+            sum_gap = next((m + a for a in star if m + a not in sums), None)
+            yield diff_gap, sum_gap, len(sums), len(diffs)
+        return
+    lo, hi = masks.lo, masks.hi
+    # Bit j of `elems` is a = lo+j, and m+a is bit j+k of `sums`; bit j of
+    # `mirror` is a = hi-j, and m-a is bit j+k of `diffs`.
+    k = m - lo
+    for star in cores:
+        masks.advance(star)
+        sums, diffs = masks.sums, masks.diffs
+        if k >= 0:
+            sums, diffs = sums >> k, diffs >> k
+        else:
+            sums, diffs = sums << -k, diffs << -k
+        no_diff = masks.mirror & ~diffs  # lowest a is the highest bit
+        no_sum = masks.elems & ~sums  # lowest a is the lowest bit
+        yield (
+            m - (hi - no_diff.bit_length() + 1) if no_diff else None,
+            m + lo + (no_sum & -no_sum).bit_length() - 1 if no_sum else None,
+            masks.sums.bit_count(),
+            masks.diffs.bit_count(),
+        )
+
+
 def verify_star_identities(params: NathansonParams, chain: Chain) -> ValidationReport:
     """Check the four symmetric-core identities at every odd chain position.
 
@@ -115,27 +131,24 @@ def verify_star_identities(params: NathansonParams, chain: Chain) -> ValidationR
       diff-card-match:  |A-A| = |A*-A*|
 
     Witnesses are the first uncovered element (coverage checks) or the
-    (observed, core) cardinality pair.
+    (observed, core) cardinality pair.  The cores of a valid chain grow by
+    one element at each end, so their sums and differences are kept as masks
+    and only extended.
     """
     m = params.m
+    odd = range(1, len(chain.sets) + 1, 2)
+    cores = [chain.sets[idx - 1].without(m) for idx in odd]
     failures = []
-    for idx in range(1, len(chain.sets) + 1, 2):
-        state = Method2State(params=params, r=(idx - 1) // 2, current=chain.sets[idx - 1])
-        star = state.star
-        star_sums, star_diffs = sumset(star), diffset(star)
-        for a in star:
-            if m - a not in star_diffs:
-                failures.append((idx, "star-diff-cover", m - a))
-                break
-        for a in star:
-            if m + a not in star_sums:
-                failures.append((idx, "star-sum-cover", m + a))
-                break
+    for idx, (diff_gap, sum_gap, star_sums, star_diffs) in zip(odd, _star_checks(cores, m)):
+        if diff_gap is not None:
+            failures.append((idx, "star-diff-cover", diff_gap))
+        if sum_gap is not None:
+            failures.append((idx, "star-sum-cover", sum_gap))
         p = chain.profiles[idx - 1]
-        if p.sum_card != len(star_sums) + 1:
-            failures.append((idx, "sum-card-offset", (p.sum_card, len(star_sums))))
-        if p.diff_card != len(star_diffs):
-            failures.append((idx, "diff-card-match", (p.diff_card, len(star_diffs))))
+        if p.sum_card != star_sums + 1:
+            failures.append((idx, "sum-card-offset", (p.sum_card, star_sums)))
+        if p.diff_card != star_diffs:
+            failures.append((idx, "diff-card-match", (p.diff_card, star_diffs)))
 
     notes = []
     odd_sums = [chain.profiles[i].sum_card for i in range(0, len(chain.sets), 2)]

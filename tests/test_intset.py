@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -283,3 +287,23 @@ class TestProperties:
         assert d % 2 == 1
         assert 2 * n - 1 <= s <= n * (n + 1) // 2
         assert 2 * n - 1 <= d <= n * (n - 1) + 1
+
+
+# Run apart from the test session, whose imported classes must stay in place.
+REIMPORT_SCRIPT = """
+import gc, sys, weakref
+import altchains
+old = weakref.ref(altchains.intset.IntSet)
+for name in [n for n in sys.modules if n.split(".")[0] == "altchains"]:
+    del sys.modules[name]
+import altchains
+gc.collect()
+sys.exit(0 if old() is None else 1)
+"""
+
+
+def test_reimport_frees_previous_package():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", REIMPORT_SCRIPT], env=env, timeout=60)
+    assert result.returncode == 0, "a fresh import keeps the previous altchains alive"

@@ -1,13 +1,9 @@
-from fractions import Fraction
-
 import pytest
 
 from altchains import (
     Chain,
     ConstraintViolation,
     MethodTag,
-    Method2Constraint,
-    Method2State,
     SetClass,
     affine,
     append_schedule,
@@ -37,14 +33,6 @@ FIXTURE_8_2_3 = [
     (86, 91, 21, 56),
     (94, 93, 22, 64),
 ]
-
-
-class TestConstraint:
-    def test_quarter_selector(self, conway_params):
-        constraint = Method2Constraint.check(conway_params)
-        assert constraint.quarter == Fraction(1, 4)
-        high = Method2Constraint.check(build_base(8, 6, 4))
-        assert high.quarter == Fraction(3, 4)
 
 
 class TestBuildA1:
@@ -119,8 +107,7 @@ class TestStarIdentities:
     def test_star_state_and_symmetry(self, conway_params):
         chain = generate_chain_m2(conway_params, 9)
         for idx in range(1, 10, 2):
-            state = Method2State(conway_params, (idx - 1) // 2, chain.sets[idx - 1])
-            star = state.star
+            star = chain.sets[idx - 1].without(conway_params.m)
             assert conway_params.m not in star
             assert affine(star, -1, conway_params.a_star) == star
 
