@@ -18,11 +18,13 @@ from .intset import (
     _BITSET_SPAN_LIMIT,
     DIAMETER_ZERO,
     Density,
+    EmptyProfile,
     IntSet,
     SetClass,
     SumDiffProfile,
     _profile_from_counts,
-    profile,
+    diffset,
+    sumset,
 )
 
 Witness = Union[int, tuple[int, int], None]
@@ -61,13 +63,22 @@ def _appended(prev: IntSet, cur: IntSet) -> Optional[tuple[int, ...]]:
     return None
 
 
+def _mask(values: Iterable[int], base: int) -> int:
+    """Bitmask with bit v-base set for each v in `values` (all >= base)."""
+    bits = 0
+    for v in values:
+        bits |= 1 << (v - base)
+    return bits
+
+
 class _Masks:
     """Sum and difference masks of a growing set, anchored at a fixed hull.
 
     For x in [lo, hi], bit x-lo of `elems` and bit hi-x of `mirror` mark x in
     the set; bit s-2lo of `sums` marks the sum s and bit t+(hi-lo) of `diffs`
-    marks the difference t.  When a set only appends to the previous one, each
-    new element costs one shift-OR per mask, whatever the set's size.
+    marks the difference t.  A set that does not append to the previous one
+    takes its sums and differences from the kernel; a set that appends costs
+    one shift-OR per mask for each new element, whatever the set's size.
     """
 
     def __init__(self, lo: int, hi: int) -> None:
@@ -75,21 +86,17 @@ class _Masks:
         self.elems = self.mirror = self.sums = self.diffs = 0
         self.current = IntSet()
 
-    @classmethod
-    def over(cls, sets: Iterable[IntSet]) -> Optional[_Masks]:
-        """Masks anchored at the hull of `sets`; None past the bitset cut."""
-        nonempty = [s for s in sets if s]
-        lo = min((s.min for s in nonempty), default=0)
-        hi = max((s.max for s in nonempty), default=0)
-        return cls(lo, hi) if hi - lo <= _BITSET_SPAN_LIMIT else None
-
     def advance(self, cur: IntSet) -> None:
         """Move to `cur`: add what it appends, or rebuild from it otherwise."""
-        new = _appended(self.current, cur)
-        if new is None:
-            self.elems = self.mirror = self.sums = self.diffs = 0
-            new = cur.elements
         lo, hi = self.lo, self.hi
+        new = _appended(self.current, cur)
+        self.current = cur
+        if new is None:
+            self.elems = _mask(cur, lo)
+            self.mirror = _mask((hi - x for x in cur), 0)
+            self.sums = _mask(sumset(cur), 2 * lo)
+            self.diffs = _mask(diffset(cur), lo - hi)
+            return
         elems, mirror, sums, diffs = self.elems, self.mirror, self.sums, self.diffs
         for x in new:
             up, down = x - lo, hi - x
@@ -98,19 +105,63 @@ class _Masks:
             sums |= elems << up
             diffs |= (mirror << up) | (elems << down)
         self.elems, self.mirror, self.sums, self.diffs = elems, mirror, sums, diffs
-        self.current = cur
+
+    def counts(self) -> tuple[int, int]:
+        """|A+A| and |A-A| of the current set A."""
+        return self.sums.bit_count(), self.diffs.bit_count()
+
+    def first_missing_sum(self, m: int) -> Optional[int]:
+        """The first m+a, a rising through A, that is not in A+A; else None."""
+        # m+a sits at bit j+k of `sums` when a is bit j of `elems`.
+        k = m - self.lo
+        sums = self.sums >> k if k >= 0 else self.sums << -k
+        gaps = self.elems & ~sums
+        return m + self.lo + (gaps & -gaps).bit_length() - 1 if gaps else None
+
+    def first_missing_diff(self, m: int) -> Optional[int]:
+        """The first m-a, a rising through A, that is not in A-A; else None."""
+        # m-a sits at bit j+k of `diffs` when a is bit j of `mirror`, so the
+        # lowest a is the highest bit of the gaps.
+        k = m - self.lo
+        diffs = self.diffs >> k if k >= 0 else self.diffs << -k
+        gaps = self.mirror & ~diffs
+        return m - (self.hi - gaps.bit_length() + 1) if gaps else None
+
+
+class _Kernel:
+    """The `_Masks` interface, with each set's sums and differences computed
+    afresh by the kernel: for hulls past the bitset cut, where it hashes."""
+
+    def advance(self, cur: IntSet) -> None:
+        self.current, self.sums, self.diffs = cur, sumset(cur), diffset(cur)
+
+    def counts(self) -> tuple[int, int]:
+        return len(self.sums), len(self.diffs)
+
+    def first_missing_sum(self, m: int) -> Optional[int]:
+        return next((m + a for a in self.current if m + a not in self.sums), None)
+
+    def first_missing_diff(self, m: int) -> Optional[int]:
+        return next((m - a for a in self.current if m - a not in self.diffs), None)
+
+
+def _accumulator(sets: Sequence[IntSet]) -> Union[_Masks, _Kernel]:
+    """Masks anchored at the hull of `sets`, or the kernel past the bitset cut."""
+    nonempty = [s for s in sets if s]
+    lo = min((s.min for s in nonempty), default=0)
+    hi = max((s.max for s in nonempty), default=0)
+    return _Masks(lo, hi) if hi - lo <= _BITSET_SPAN_LIMIT else _Kernel()
 
 
 def _chain_profiles(members: Sequence[IntSet]) -> tuple[SumDiffProfile, ...]:
-    """Profiles of every member, grown from the previous member's masks."""
-    masks = _Masks.over(members)
-    if masks is None or not all(members):
-        # A wide hull takes the kernel's hash path; profile() refuses an empty member.
-        return tuple(profile(s) for s in members)
+    """Profiles of every member, grown from the previous member where it appends."""
+    if not all(members):
+        raise EmptyProfile("cannot profile the empty set")
+    acc = _accumulator(members)
     profiles = []
     for s in members:
-        masks.advance(s)
-        profiles.append(_profile_from_counts(s, masks.sums.bit_count(), masks.diffs.bit_count()))
+        acc.advance(s)
+        profiles.append(_profile_from_counts(s, *acc.counts()))
     return tuple(profiles)
 
 

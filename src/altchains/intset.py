@@ -194,7 +194,15 @@ def classify(A: IntSet) -> SetClass:
     """MSTD, MDTS or Balanced by comparing |A+A| with |A-A|."""
     if not A:
         return SetClass.BALANCED
-    return profile(A).set_class
+    return _class_from_counts(len(sumset(A)), len(diffset(A)))
+
+
+def _class_from_counts(sum_card: int, diff_card: int) -> SetClass:
+    if sum_card > diff_card:
+        return SetClass.MSTD
+    if diff_card > sum_card:
+        return SetClass.MDTS
+    return SetClass.BALANCED
 
 
 @dataclass(frozen=True)
@@ -210,11 +218,7 @@ class SumDiffProfile:
     @property
     def set_class(self) -> SetClass:
         """MSTD, MDTS or Balanced by comparing |A+A| with |A-A|."""
-        if self.sum_card > self.diff_card:
-            return SetClass.MSTD
-        if self.diff_card > self.sum_card:
-            return SetClass.MDTS
-        return SetClass.BALANCED
+        return _class_from_counts(self.sum_card, self.diff_card)
 
     @property
     def density_text(self) -> str:

@@ -15,10 +15,9 @@ identities that the symmetry argument rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
 
-from .chains import Chain, MethodTag, ValidationReport, _Masks
-from .intset import IntSet, diffset, profile, sumset
+from .chains import Chain, MethodTag, ValidationReport, _accumulator
+from .intset import IntSet, SumDiffProfile, profile
 from .nathanson import NathansonParams
 
 
@@ -46,17 +45,24 @@ class Method2Constraint:
 
 def build_a1_m2(params: NathansonParams) -> IntSet:
     """First chain member: the base with its symmetric fringe pair attached."""
+    a1 = _first_member(params)
+    _check_first_member(params, profile(a1))
+    return a1
+
+
+def _first_member(params: NathansonParams) -> IntSet:
     Method2Constraint.check(params)
     m, d, k = params.m, params.d, params.k
-    a1 = params.A.union([-d, (k + 1) * m - d])
-    p = profile(a1)
+    return params.A.union([-d, (k + 1) * m - d])
+
+
+def _check_first_member(params: NathansonParams, p: SumDiffProfile) -> None:
     # Guaranteed by construction; a failure means the formulas above are wrong.
     if p.sum_card != p.diff_card + 1:
         raise RuntimeError(
-            f"self-check failed: first member for (m={m}, d={d}, k={k}) has "
-            f"{p.sum_card} sums vs {p.diff_card} differences"
+            f"self-check failed: first member for (m={params.m}, d={params.d}, "
+            f"k={params.k}) has {p.sum_card} sums vs {p.diff_card} differences"
         )
-    return a1
 
 
 def append_schedule(params: NathansonParams, steps: int) -> tuple[int, ...]:
@@ -77,47 +83,15 @@ def generate_chain_m2(params: NathansonParams, steps: int) -> Chain:
     """Generate the first `steps` sets of the one-element-per-step chain."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    current = build_a1_m2(params)
+    current = _first_member(params)
     sets = [current]
     for element in append_schedule(params, steps):
         current = current.union([element])
         sets.append(current)
-    return Chain.from_sets(sets, MethodTag.METHOD2)
-
-
-def _star_checks(
-    cores: list[IntSet], m: int
-) -> Iterator[tuple[Optional[int], Optional[int], int, int]]:
-    """Per core A*: the first m-a missing from A*-A* and the first m+a missing
-    from A*+A* (a running up through A*; None when all are there), then
-    |A*+A*| and |A*-A*|."""
-    masks = _Masks.over(cores)
-    if masks is None:
-        for star in cores:
-            sums, diffs = sumset(star), diffset(star)
-            diff_gap = next((m - a for a in star if m - a not in diffs), None)
-            sum_gap = next((m + a for a in star if m + a not in sums), None)
-            yield diff_gap, sum_gap, len(sums), len(diffs)
-        return
-    lo, hi = masks.lo, masks.hi
-    # Bit j of `elems` is a = lo+j, and m+a is bit j+k of `sums`; bit j of
-    # `mirror` is a = hi-j, and m-a is bit j+k of `diffs`.
-    k = m - lo
-    for star in cores:
-        masks.advance(star)
-        sums, diffs = masks.sums, masks.diffs
-        if k >= 0:
-            sums, diffs = sums >> k, diffs >> k
-        else:
-            sums, diffs = sums << -k, diffs << -k
-        no_diff = masks.mirror & ~diffs  # lowest a is the highest bit
-        no_sum = masks.elems & ~sums  # lowest a is the lowest bit
-        yield (
-            m - (hi - no_diff.bit_length() + 1) if no_diff else None,
-            m + lo + (no_sum & -no_sum).bit_length() - 1 if no_sum else None,
-            masks.sums.bit_count(),
-            masks.diffs.bit_count(),
-        )
+    chain = Chain.from_sets(sets, MethodTag.METHOD2)
+    # The chain has profiled the first member already; check it from there.
+    _check_first_member(params, chain.profiles[0])
+    return chain
 
 
 def verify_star_identities(params: NathansonParams, chain: Chain) -> ValidationReport:
@@ -138,8 +112,12 @@ def verify_star_identities(params: NathansonParams, chain: Chain) -> ValidationR
     m = params.m
     odd = range(1, len(chain.sets) + 1, 2)
     cores = [chain.sets[idx - 1].without(m) for idx in odd]
+    acc = _accumulator(cores)
     failures = []
-    for idx, (diff_gap, sum_gap, star_sums, star_diffs) in zip(odd, _star_checks(cores, m)):
+    for idx, star in zip(odd, cores):
+        acc.advance(star)
+        diff_gap, sum_gap = acc.first_missing_diff(m), acc.first_missing_sum(m)
+        star_sums, star_diffs = acc.counts()
         if diff_gap is not None:
             failures.append((idx, "star-diff-cover", diff_gap))
         if sum_gap is not None:

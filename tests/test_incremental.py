@@ -9,6 +9,8 @@ check, or the double-loop oracles in conftest.
 
 import dataclasses
 
+import altchains.chains as chains
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from altchains import (
     generate_chain_m3,
     make_set,
     profile,
+    sumset,
     validate_chain,
     verify_star_identities,
 )
@@ -128,6 +131,16 @@ class TestGeneratedChains:
     def test_clean_chains_validate(self, build):
         assert validate_chain(build()).failures == ()
 
+    def test_kernel_seeds_only_members_that_do_not_append(self, monkeypatch):
+        # The first member and the member with a filled hole come from the
+        # kernel; every other member is grown from the one before it.
+        sets = list(generate_chain_m3(40).sets)
+        sets[20:] = [s.union([sets[19].min + 1]) for s in sets[20:]]
+        seeded = []
+        monkeypatch.setattr(chains, "sumset", lambda A: seeded.append(A) or sumset(A))
+        Chain.from_sets(sets, MethodTag.EXTERNAL)
+        assert seeded == [sets[0], sets[20]]
+
 
 class TestNestedChains:
     @given(nested_chains())
@@ -172,7 +185,7 @@ class TestStarIdentities:
         chain = Chain.from_sets([make_set(s) for s in members], MethodTag.METHOD2)
         assert list(verify_star_identities(params, chain).failures) == naive_star_failures(m, chain)
 
-    def test_core_below_m(self):
+    def test_negative_mask_offset(self):
         # Every core lies above m, so the masks are compared at a negative
         # offset.  m-10 = 10-16 is covered, and m-16 is the first gap.
         params = build_base(4, 1, 3)
