@@ -25,6 +25,7 @@ from .intset import (
     classify,
     diffset,
     format_3dp,
+    format_density,
     format_set_literal,
     interval,
     make_set,
@@ -46,14 +47,12 @@ from .method1 import (
 )
 from .method2 import (
     ConstraintViolation,
-    Method2Constraint,
     append_schedule,
     build_a1_m2,
     generate_chain_m2,
     verify_star_identities,
 )
 from .method3 import (
-    Method3Index,
     PhaseUnsupported,
     delta_counts,
     generate_chain_m3,
@@ -63,60 +62,3 @@ from .method3 import (
 from .nathanson import BadParams, NathansonParams, build_base, check_interval_lemma
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BadModulus",
-    "BadParams",
-    "Chain",
-    "ConditionsFail",
-    "ConstraintViolation",
-    "CONWAY_SET",
-    "DIAMETER_ZERO",
-    "EmptyProfile",
-    "GrowthRow",
-    "IntSet",
-    "Method1Params",
-    "Method2Constraint",
-    "Method3Index",
-    "MethodTag",
-    "MissingZero",
-    "ModulusTooSmall",
-    "NathansonParams",
-    "NotMSTD",
-    "OverflowRisk",
-    "PhaseUnsupported",
-    "SetClass",
-    "SetLiteralError",
-    "SumDiffProfile",
-    "ValidationReport",
-    "ZeroDilation",
-    "affine",
-    "analyze_modulus",
-    "append_schedule",
-    "build_a1_m2",
-    "build_base",
-    "check_interval_lemma",
-    "classify",
-    "delta_counts",
-    "diffset",
-    "format_3dp",
-    "format_set_literal",
-    "generate_chain_m1",
-    "generate_chain_m2",
-    "generate_chain_m3",
-    "growth_rates",
-    "growth_table",
-    "interval",
-    "limiting_density",
-    "make_set",
-    "parse_set_literal",
-    "phase1_set",
-    "profile",
-    "residue_count",
-    "search_moduli",
-    "set_m3",
-    "sumset",
-    "symmetry_point",
-    "validate_chain",
-    "verify_star_identities",
-]

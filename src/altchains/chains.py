@@ -30,16 +30,6 @@ from .intset import (
 Witness = Union[int, tuple[int, int], None]
 Failure = tuple[int, str, Witness]
 
-# Checking consecutive pairs suffices for the full no-filling-in condition:
-# hulls are nested, so an element of a later set that fell inside the hull of
-# some earlier set also falls inside the hull of every set in between, and
-# would already have been flagged at the first pair it violates.
-PAIRWISE_SUFFICIENCY = (
-    "derivation: pairwise no-filling-in implies the condition against every "
-    "earlier set, because the hulls [min, max] are nested along the chain"
-)
-
-
 class MethodTag(enum.Enum):
     METHOD1 = "Method1"
     METHOD2 = "Method2"
@@ -199,22 +189,22 @@ class ValidationReport:
 
     ok: bool
     failures: tuple[Failure, ...]
-    derivation: str = ""
     notes: tuple[str, ...] = ()
 
     @classmethod
     def from_failures(
-        cls,
-        failures: Iterable[Failure],
-        derivation: str = "",
-        notes: Iterable[str] = (),
+        cls, failures: Iterable[Failure], notes: Iterable[str] = ()
     ) -> "ValidationReport":
         fs = tuple(failures)
-        return cls(ok=not fs, failures=fs, derivation=derivation, notes=tuple(notes))
+        return cls(ok=not fs, failures=fs, notes=tuple(notes))
 
 
 def validate_chain(chain: Chain) -> ValidationReport:
     """Check strict inclusion, no filling in, and MSTD/MDTS alternation."""
+    # Checking consecutive pairs suffices for the full no-filling-in condition:
+    # hulls are nested, so an element of a later set that fell inside the hull
+    # of some earlier set also falls inside the hull of every set in between,
+    # and would already have been flagged at the first pair it violates.
     failures: list[Failure] = []
 
     for i, (cls, p) in enumerate(zip(chain.classes, chain.profiles), start=1):
@@ -226,15 +216,15 @@ def validate_chain(chain: Chain) -> ValidationReport:
         prev, cur = chain.sets[i - 1], chain.sets[i]
         if _appended(prev, cur) is not None:
             continue
-        if not prev.is_proper_subset(cur):
-            missing = [v for v in prev if v not in cur]
+        missing = [v for v in prev if v not in cur]
+        if missing or len(cur) == len(prev):
             failures.append((i + 1, "strict-inclusion", missing[0] if missing else None))
             continue
         filled = [v for v in cur.within(prev.min, prev.max) if v not in prev]
         if filled:
             failures.append((i + 1, "no-filling-in", filled[0]))
 
-    return ValidationReport.from_failures(failures, derivation=PAIRWISE_SUFFICIENCY)
+    return ValidationReport.from_failures(failures)
 
 
 @dataclass(frozen=True)

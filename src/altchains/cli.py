@@ -16,20 +16,19 @@ from typing import Optional, Sequence
 from .chains import Chain, GrowthRow, MethodTag, growth_table, validate_chain
 from .intset import (
     CONWAY_SET,
-    DIAMETER_ZERO,
-    Density,
-    classify,
+    _class_from_counts,
     diffset,
     format_3dp,
+    format_density,
     format_set_literal,
     parse_set_literal,
     profile,
     sumset,
 )
 from .method1 import generate_chain_m1, search_moduli
-from .method2 import build_a1_m2, generate_chain_m2
+from .method2 import generate_chain_m2
 from .method3 import generate_chain_m3
-from .nathanson import build_base
+from .nathanson import build_base, k_min
 
 MARKDOWN_HEADER = (
     "Set",
@@ -52,10 +51,6 @@ def _ratio_text(value: Optional[Fraction]) -> str:
     return "N/A" if value is None else format_3dp(value)
 
 
-def _density_text(value: Density) -> str:
-    return "N/A" if value is DIAMETER_ZERO else format_3dp(value)
-
-
 def _cells(row: GrowthRow) -> tuple[str, ...]:
     return (
         f"A{row.index}",
@@ -65,7 +60,7 @@ def _cells(row: GrowthRow) -> tuple[str, ...]:
         str(row.diameter),
         _ratio_text(row.card_ratio),
         _ratio_text(row.diam_ratio),
-        _density_text(row.density),
+        format_density(row.density),
     )
 
 
@@ -131,7 +126,8 @@ def paper_chain(number: int) -> Chain:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     A = parse_set_literal(args.set)
-    print(f"{classify(A).value} {len(sumset(A))} {len(diffset(A))}")
+    sums, diffs = len(sumset(A)), len(diffset(A))
+    print(f"{_class_from_counts(sums, diffs).value} {sums} {diffs}")
     return 0
 
 
@@ -139,7 +135,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     p = profile(parse_set_literal(args.set))
     print(
         f"card={p.card} sumcard={p.sum_card} diffcard={p.diff_card} "
-        f"diameter={p.diameter} density={p.density_text}"
+        f"diameter={p.diameter} density={format_density(p.density)}"
     )
     return 0
 
@@ -195,10 +191,9 @@ def _cmd_scan_params(args: argparse.Namespace) -> int:
         raise ValueError("only --method 2 supports parameter scanning")
     for m in range(4, args.max_m + 1, 4):
         for d in (m // 4, 3 * m // 4):
-            k_min = 3 if d < m / 2 else 4
-            for k in range(k_min, args.max_k + 1):
-                a1 = build_a1_m2(build_base(m, d, k))
-                p = profile(a1)
+            for k in range(k_min(m, d), args.max_k + 1):
+                # The one-member chain profiles A1 once and self-checks it.
+                p = generate_chain_m2(build_base(m, d, k), 1).profiles[0]
                 print(
                     f"m={m} d={d} k={k} sumcard={p.sum_card} "
                     f"diffcard={p.diff_card} card={p.card} diameter={p.diameter}"

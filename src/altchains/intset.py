@@ -23,6 +23,9 @@ SAFE_BOUND = 2**62 - 1
 # sparse wide sets take the hash-based path instead.
 _BITSET_SPAN_LIMIT = 1 << 24
 
+# The hash path holds all |A|^2 pair sums at once, so it refuses |A| > 2048.
+_PAIR_LIMIT = 1 << 22
+
 
 class OverflowRisk(ValueError):
     """Element magnitude too large to guarantee overflow-free sums."""
@@ -122,9 +125,6 @@ class IntSet:
         j = bisect_right(self.elements, hi)
         return IntSet(self.elements[i:j])
 
-    def is_proper_subset(self, other: "IntSet") -> bool:
-        return set(self.elements) < set(other.elements)
-
 
 def make_set(values: Iterable[int]) -> IntSet:
     """Deduplicate, sort and bound-check `values` into an IntSet."""
@@ -154,11 +154,21 @@ def _unpack(mask: int, base: int) -> IntSet:
     return IntSet(tuple(i + base for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"))
 
 
+def _check_pair_budget(A: IntSet) -> None:
+    n = len(A)
+    if n * n > _PAIR_LIMIT:
+        raise ValueError(
+            f"|A| = {n} is too large for a set of diameter above {_BITSET_SPAN_LIMIT}: "
+            f"its {n * n} pairs exceed the limit of {_PAIR_LIMIT}"
+        )
+
+
 def sumset(A: IntSet) -> IntSet:
     """The set {a+b : a, b in A}."""
     if not A:
         return IntSet()
     if A.diameter > _BITSET_SPAN_LIMIT:
+        _check_pair_budget(A)
         return make_set({a + b for a in A.elements for b in A.elements})
     bits = _packed(A)
     lo = A.min
@@ -173,6 +183,7 @@ def diffset(A: IntSet) -> IntSet:
     if not A:
         return IntSet()
     if A.diameter > _BITSET_SPAN_LIMIT:
+        _check_pair_budget(A)
         return make_set({a - b for a in A.elements for b in A.elements})
     bits = _packed(A)
     lo, span = A.min, A.diameter
@@ -220,12 +231,6 @@ class SumDiffProfile:
         """MSTD, MDTS or Balanced by comparing |A+A| with |A-A|."""
         return _class_from_counts(self.sum_card, self.diff_card)
 
-    @property
-    def density_text(self) -> str:
-        if isinstance(self.density, _DiameterZero):
-            return "N/A"
-        return format_3dp(self.density)
-
 
 def profile(A: IntSet) -> SumDiffProfile:
     """Full profile of a nonempty set; density kept as an exact rational."""
@@ -268,6 +273,11 @@ def format_3dp(value: Fraction) -> str:
     return f"{scaled // 1000}.{scaled % 1000:03d}"
 
 
+def format_density(density: Density) -> str:
+    """3-decimal density, or N/A for the undefined density at diameter 0."""
+    return "N/A" if density is DIAMETER_ZERO else format_3dp(density)
+
+
 _INT_TOKEN = re.compile(r"^-?\d+$")
 _RANGE_TOKEN = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 _RANGE_LIMIT = 1 << 24
@@ -291,6 +301,8 @@ def parse_set_literal(text: str) -> IntSet:
                 raise SetLiteralError(f"range {tok!r} needs its start <= end")
             if b - a >= _RANGE_LIMIT:
                 raise SetLiteralError(f"range {tok!r} spans more than {_RANGE_LIMIT} values")
+            if len(values) + b - a + 1 > _RANGE_LIMIT:
+                raise SetLiteralError(f"set literal holds more than {_RANGE_LIMIT} values")
             values.extend(range(a, b + 1))
             continue
         raise SetLiteralError(f"bad set-literal token {tok!r}")

@@ -14,8 +14,6 @@ identities that the symmetry argument rests on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chains import Chain, MethodTag, ValidationReport, _accumulator
 from .intset import IntSet, SumDiffProfile, profile
 from .nathanson import NathansonParams
@@ -23,24 +21,6 @@ from .nathanson import NathansonParams
 
 class ConstraintViolation(ValueError):
     """Parameters outside the m = 0 mod 4, d in {m/4, 3m/4} regime."""
-
-
-@dataclass(frozen=True)
-class Method2Constraint:
-    """Evidence that (m, d) sits at a quarter point with m divisible by 4."""
-
-    m: int
-    d: int
-
-    @classmethod
-    def check(cls, params: NathansonParams) -> "Method2Constraint":
-        if params.m % 4 != 0:
-            raise ConstraintViolation(f"m must be divisible by 4, got {params.m}")
-        if params.d not in (params.m // 4, 3 * params.m // 4):
-            raise ConstraintViolation(
-                f"d must be m/4 or 3m/4, got d={params.d} for m={params.m}"
-            )
-        return cls(m=params.m, d=params.d)
 
 
 def build_a1_m2(params: NathansonParams) -> IntSet:
@@ -51,8 +31,11 @@ def build_a1_m2(params: NathansonParams) -> IntSet:
 
 
 def _first_member(params: NathansonParams) -> IntSet:
-    Method2Constraint.check(params)
     m, d, k = params.m, params.d, params.k
+    if m % 4 != 0:
+        raise ConstraintViolation(f"m must be divisible by 4, got {m}")
+    if d not in (m // 4, 3 * m // 4):
+        raise ConstraintViolation(f"d must be m/4 or 3m/4, got d={d} for m={m}")
     return params.A.union([-d, (k + 1) * m - d])
 
 

@@ -15,9 +15,6 @@ whose sumset misses 10, and 5+5 restores exactly that one sum.  Phases 2 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 from .chains import Chain, MethodTag
 from .intset import IntSet, diffset, make_set, sumset
 
@@ -29,29 +26,6 @@ class PhaseUnsupported(ValueError):
     """Delta counting only applies to the single-element top appends."""
 
 
-@dataclass(frozen=True)
-class Method3Index:
-    """1-based chain position, split into block k and phase 1..4."""
-
-    i: int
-
-    def __post_init__(self) -> None:
-        if self.i < 1:
-            raise ValueError(f"chain index must be >= 1, got {self.i}")
-
-    @property
-    def k(self) -> int:
-        return (self.i - 1) // 4
-
-    @property
-    def phase(self) -> int:
-        return (self.i - 1) % 4 + 1
-
-
-def _as_index(index: Union[Method3Index, int]) -> Method3Index:
-    return index if isinstance(index, Method3Index) else Method3Index(index)
-
-
 def phase1_set(k: int) -> IntSet:
     """The block-k phase-1 member from its compact description."""
     prog = (5 * l + delta for l in range(-k - 5, k + 7) for delta in (1, 2))
@@ -59,18 +33,16 @@ def phase1_set(k: int) -> IntSet:
     return make_set(kept)
 
 
-def set_m3(index: Union[Method3Index, int]) -> IntSet:
-    """The chain member at `index` in closed form."""
-    idx = _as_index(index)
-    k = idx.k
+def set_m3(i: int) -> IntSet:
+    """The chain member at 1-based position `i` in closed form."""
+    if i < 1:
+        raise ValueError(f"chain index must be >= 1, got {i}")
+    k, r = divmod(i - 1, 4)
     base = phase1_set(k)
-    if idx.phase == 1:
+    if r == 0:
         return base
-    if idx.phase == 2:
-        return base.union([5 * k + 36])
-    if idx.phase == 3:
-        return base.union([-5 * k - 28, 5 * k + 36])
-    return base.union([-5 * k - 28, 5 * k + 36, 5 * k + 37])
+    # Phase r+1 of block k adds the first r of these to the phase-1 member.
+    return base.union((5 * k + 36, -5 * k - 28, 5 * k + 37)[:r])
 
 
 def generate_chain_m3(steps: int) -> Chain:
@@ -80,18 +52,18 @@ def generate_chain_m3(steps: int) -> Chain:
     return Chain.from_sets((set_m3(i) for i in range(1, steps + 1)), MethodTag.METHOD3)
 
 
-def delta_counts(index: Union[Method3Index, int]) -> tuple[int, int]:
+def delta_counts(i: int) -> tuple[int, int]:
     """(new sums, new differences) contributed by a phase-2 or phase-4 member.
 
     Phases 1 and 3 grow by a symmetric pair and are accounted for by the
     symmetry argument instead, so they are rejected here.
     """
-    idx = _as_index(index)
-    if idx.phase not in (2, 4):
+    phase = (i - 1) % 4 + 1
+    if phase not in (2, 4):
         raise PhaseUnsupported(
-            f"delta counting applies to phases 2 and 4; index {idx.i} is phase {idx.phase}"
+            f"delta counting applies to phases 2 and 4; index {i} is phase {phase}"
         )
-    cur, prev = set_m3(idx.i), set_m3(idx.i - 1)
+    cur, prev = set_m3(i), set_m3(i - 1)
     new_sums = len(set(sumset(cur)) - set(sumset(prev)))
     new_diffs = len(set(diffset(cur)) - set(diffset(prev)))
     return new_sums, new_diffs

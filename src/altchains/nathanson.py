@@ -37,6 +37,11 @@ class NathansonParams:
     A: IntSet
 
 
+def k_min(m: int, d: int) -> int:
+    """The shortest ladder the construction allows: 3 when d < m/2, else 4."""
+    return 3 if 2 * d < m else 4
+
+
 def build_base(m: int, d: int, k: int) -> NathansonParams:
     """Construct and self-check the MSTD base set for (m, d, k)."""
     if m < 4:
@@ -45,9 +50,9 @@ def build_base(m: int, d: int, k: int) -> NathansonParams:
         raise BadParams(f"d must lie in [1, {m - 1}], got {d}")
     if 2 * d == m:
         raise BadParams(f"d = m/2 is excluded (d={d}, m={m})")
-    k_min = 3 if 2 * d < m else 4
-    if k < k_min:
-        raise BadParams(f"k must be >= {k_min} when d {'<' if k_min == 3 else '>'} m/2, got {k}")
+    least = k_min(m, d)
+    if k < least:
+        raise BadParams(f"k must be >= {least} when d {'<' if least == 3 else '>'} m/2, got {k}")
 
     B = interval(0, m - 1).without(d)
     L = make_set(j * m - d for j in range(1, k + 1))

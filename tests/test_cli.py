@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import altchains.cli
+import altchains.intset
 from altchains import MethodTag, generate_chain_m1
 from altchains.cli import (
     EmptyRows,
@@ -73,6 +80,29 @@ class TestClassify:
     def test_empty_set(self, capsys):
         assert main(["classify", "--set", ""]) == 0
         assert capsys.readouterr().out == "Balanced 0 0\n"
+
+    def test_one_kernel_pass(self, capsys, monkeypatch):
+        calls = []
+        for module in (altchains.cli, altchains.intset):
+            for name in ("sumset", "diffset"):
+                original = getattr(module, name)
+                def counted(A, original=original, name=name):
+                    calls.append(name)
+                    return original(A)
+                monkeypatch.setattr(module, name, counted)
+        assert main(["classify", "--set", "0,2,3,4,7,11,12,14"]) == 0
+        assert capsys.readouterr().out == "MSTD 26 25\n"
+        assert sorted(calls) == ["diffset", "sumset"]
+
+    def test_oversized_literal(self, capsys, monkeypatch):
+        monkeypatch.setattr(altchains.intset, "_RANGE_LIMIT", 100)
+        assert main(["classify", "--set", "0..59,100..159"]) == 2
+        assert "holds more than 100 values" in capsys.readouterr().err
+
+    def test_wide_set_over_pair_budget(self, capsys):
+        literal = ",".join(str(v) for v in range(0, 2049 * 2**25, 2**25))
+        assert main(["classify", "--set", literal]) == 2
+        assert "|A| = 2049" in capsys.readouterr().err
 
 
 class TestProfile:
@@ -231,6 +261,29 @@ class TestScanParams:
 
     def test_only_method2_supported(self, capsys):
         assert main(["scan-params", "--method", "1"]) == 2
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+class TestPublicSurface:
+    """The README example and the module entry point, in a fresh interpreter."""
+
+    def _run(self, args, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_readme_library_block(self, tmp_path):
+        section = (REPO / "README.md").read_text().split("## Library", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        proc = self._run(["-c", block + "import altchains, altchains.cli\n"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_module_entry_point(self, tmp_path):
+        proc = self._run(["-m", "altchains.cli", "classify", "--set=0,2,3,4,7,11,12,14"],
+                         tmp_path)
+        assert (proc.returncode, proc.stdout) == (0, "MSTD 26 25\n"), proc.stderr
 
 
 class TestUsage:

@@ -21,6 +21,7 @@ from altchains import (
     classify,
     diffset,
     format_3dp,
+    format_density,
     format_set_literal,
     interval,
     make_set,
@@ -31,6 +32,7 @@ from altchains import (
     symmetry_point,
 )
 
+import altchains.intset as intset_module
 from conftest import naive_diffset, naive_sumset
 
 subsets_of_0_50 = st.sets(st.integers(0, 50), max_size=51)
@@ -136,19 +138,19 @@ class TestProfile:
         p = profile(conway)
         assert (p.card, p.sum_card, p.diff_card, p.diameter) == (8, 26, 25, 14)
         assert p.density == Fraction(8, 14)
-        assert p.density_text == "0.571"
+        assert format_density(p.density) == "0.571"
 
     def test_singleton_diameter_zero(self):
         p = profile(make_set([0]))
         assert (p.card, p.sum_card, p.diff_card, p.diameter) == (1, 1, 1, 0)
         assert p.density is DIAMETER_ZERO
-        assert p.density_text == "N/A"
+        assert format_density(p.density) == "N/A"
 
     def test_method2_first_member(self):
         A = make_set([-1, 0, 2, 3, 4, 7, 11, 12, 14, 15])
         p = profile(A)
         assert (p.card, p.sum_card, p.diff_card, p.diameter) == (10, 32, 31, 16)
-        assert p.density_text == "0.625"
+        assert format_density(p.density) == "0.625"
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyProfile):
@@ -230,6 +232,16 @@ class TestSetLiterals:
         with pytest.raises(SetLiteralError, match="spans"):
             parse_set_literal(f"0..{2**40}")
 
+    def test_total_size_capped(self, monkeypatch):
+        monkeypatch.setattr(intset_module, "_RANGE_LIMIT", 100)
+        assert len(parse_set_literal("0..49,100..149")) == 100
+        # Each range fits on its own; together they pass the cap.
+        with pytest.raises(SetLiteralError, match="holds more than 100 values"):
+            parse_set_literal("0..49,100..150")
+        # Single values before a range count toward the total.
+        with pytest.raises(SetLiteralError, match="holds more than 100 values"):
+            parse_set_literal("-2,-1,0..98")
+
     def test_format_roundtrip(self, conway):
         assert parse_set_literal(format_set_literal(conway)) == conway
         assert format_set_literal(IntSet()) == ""
@@ -238,6 +250,29 @@ class TestSetLiterals:
     def test_roundtrip_property(self, values):
         A = make_set(values)
         assert parse_set_literal(format_set_literal(A)) == A
+
+
+# 2049 elements spaced 2**25 apart: a cheap set that takes the hash path.
+WIDE_2049 = IntSet(tuple(range(0, 2049 * 2**25, 2**25)))
+
+
+class TestHashPathBudget:
+    @pytest.mark.parametrize("fn", [sumset, diffset, profile, classify])
+    def test_refuses_over_budget(self, fn):
+        with pytest.raises(ValueError, match="2049"):
+            fn(WIDE_2049)
+
+    def test_budget_edge(self, monkeypatch):
+        monkeypatch.setattr(intset_module, "_PAIR_LIMIT", 100)
+        ten = IntSet(WIDE_2049.elements[:10])
+        # An arithmetic progression: 19 sums and 19 differences.
+        assert len(sumset(ten)) == len(diffset(ten)) == 19
+        with pytest.raises(ValueError, match="limit of 100"):
+            sumset(IntSet(WIDE_2049.elements[:11]))
+
+    def test_bitset_path_unlimited(self):
+        # A dense set of more than 2048 elements takes the bitset path.
+        assert len(sumset(interval(0, 2999))) == 5999
 
 
 class TestProperties:

@@ -1,7 +1,6 @@
 import pytest
 
 from altchains import (
-    Method3Index,
     PhaseUnsupported,
     SetClass,
     affine,
@@ -40,12 +39,13 @@ class TestIndexing:
         [(1, 0, 1), (2, 0, 2), (3, 0, 3), (4, 0, 4), (5, 1, 1), (104, 25, 4)],
     )
     def test_decomposition(self, i, k, phase):
-        idx = Method3Index(i)
-        assert (idx.k, idx.phase) == (k, phase)
+        # Phase p of block k adds p-1 elements to the block's phase-1 member.
+        A, base = set(set_m3(i)), set(phase1_set(k))
+        assert base <= A and len(A - base) == phase - 1
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            Method3Index(0)
+            set_m3(0)
 
 
 class TestClosedForm:
@@ -59,7 +59,7 @@ class TestClosedForm:
 
     def test_block_boundary(self):
         prev, cur = set_m3(4), set_m3(5)
-        assert prev.is_proper_subset(cur)
+        assert set(prev) < set(cur)
         assert set(cur) - set(prev) == {-29}
         assert (len(prev), len(cur)) == (26, 27)
 
@@ -70,9 +70,6 @@ class TestClosedForm:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_phase3_appends_symmetric_pair(self, k):
         assert set_m3(4 * k + 3) == set_m3(4 * k + 1).union([-5 * k - 28, 5 * k + 36])
-
-    def test_accepts_plain_ints_and_indices(self):
-        assert set_m3(Method3Index(6)) == set_m3(6)
 
 
 class TestChain:
@@ -92,7 +89,7 @@ class TestChain:
     def test_inclusion_through_blocks(self):
         sets = [set_m3(i) for i in range(1, 22)]
         for a, b in zip(sets, sets[1:]):
-            assert a.is_proper_subset(b)
+            assert set(a) < set(b)
 
     def test_parity_of_gap(self):
         chain = generate_chain_m3(12)
