@@ -22,6 +22,7 @@ from .intset import (
     IntSet,
     SetClass,
     SumDiffProfile,
+    _packed,
     _profile_from_counts,
     diffset,
     sumset,
@@ -53,14 +54,6 @@ def _appended(prev: IntSet, cur: IntSet) -> Optional[tuple[int, ...]]:
     return None
 
 
-def _mask(values: Iterable[int], base: int) -> int:
-    """Bitmask with bit v-base set for each v in `values` (all >= base)."""
-    bits = 0
-    for v in values:
-        bits |= 1 << (v - base)
-    return bits
-
-
 class _Masks:
     """Sum and difference masks of a growing set, anchored at a fixed hull.
 
@@ -82,10 +75,10 @@ class _Masks:
         new = _appended(self.current, cur)
         self.current = cur
         if new is None:
-            self.elems = _mask(cur, lo)
-            self.mirror = _mask((hi - x for x in cur), 0)
-            self.sums = _mask(sumset(cur), 2 * lo)
-            self.diffs = _mask(diffset(cur), lo - hi)
+            self.elems = _packed(cur.elements, lo)
+            self.mirror = _packed(map(hi.__sub__, cur.elements), 0)
+            self.sums = _packed(sumset(cur).elements, 2 * lo)
+            self.diffs = _packed(diffset(cur).elements, lo - hi)
             return
         elems, mirror, sums, diffs = self.elems, self.mirror, self.sums, self.diffs
         for x in new:

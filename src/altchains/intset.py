@@ -1,10 +1,12 @@
 """Exact arithmetic on finite sets of integers.
 
 The canonical representation is a strictly increasing tuple of ints.  Sumsets
-and difference sets are computed with an offset-bitset kernel: the set is
-translated to start at offset 0, packed into one Python int, and shifted/OR-ed
-once per element.  The naive double-loop enumeration lives in the test suite
-as an independent oracle.
+and difference sets are computed by one of two kernels.  The bitset kernel
+translates the set to start at offset 0, packs it into one Python int, and
+shifts/ORs it once per element.  The hash kernel collects the sums a+b with
+a <= b (or the positive differences) in a set; it serves sets so sparse that
+|A|^2 is below their diameter.  The naive double-loop enumeration lives in the
+test suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -12,18 +14,23 @@ from __future__ import annotations
 import enum
 import re
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice, repeat
+from operator import lt, neg
 from typing import Iterable, Iterator, Optional
 
 # Elements are capped so that a+b always fits a signed 64-bit word.
 SAFE_BOUND = 2**62 - 1
 
-# Above this diameter the packed masks stop being cheap (2 MiB of bits);
-# sparse wide sets take the hash-based path instead.
+# Above this diameter the packed masks stop being cheap (2 MiB of bits), so
+# every set wider than this takes the hash path.
 _BITSET_SPAN_LIMIT = 1 << 24
 
-# The hash path holds all |A|^2 pair sums at once, so it refuses |A| > 2048.
+# The hash path holds up to |A|^2/2 pair sums at once.  Past the span cut it
+# refuses |A|^2 above this, i.e. |A| > 2048; below the cut it only takes sets
+# within the limit and leaves the rest to the bitset path.
 _PAIR_LIMIT = 1 << 22
 
 
@@ -76,15 +83,22 @@ class IntSet:
     elements: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        prev = None
-        for v in self.elements:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TypeError(f"set elements must be ints, got {v!r}")
-            if abs(v) > SAFE_BOUND:
-                raise OverflowRisk(f"|{v}| exceeds the safe element bound 2**62-1")
-            if prev is not None and v <= prev:
-                raise ValueError("elements must be strictly increasing")
-            prev = v
+        el = self.elements
+        # C-level pass for the common case: a tuple of plain ints, strictly
+        # increasing, whose extremes are in bounds.  Anything else (int
+        # subclasses too) goes through the loop, which accepts or names the
+        # first fault.
+        if type(el) is tuple and (
+            not el
+            or (
+                set(map(type, el)) == {int}
+                and -SAFE_BOUND <= el[0]
+                and el[-1] <= SAFE_BOUND
+                and all(map(lt, el, islice(el, 1, None)))
+            )
+        ):
+            return
+        _check_elements(el)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -117,13 +131,37 @@ class IntSet:
     def without(self, v: int) -> "IntSet":
         if v not in self:
             return self
-        return IntSet(tuple(e for e in self.elements if e != v))
+        i = bisect_left(self.elements, v)
+        return IntSet(self.elements[:i] + self.elements[i + 1 :])
 
     def within(self, lo: int, hi: int) -> "IntSet":
         """Elements falling in the inclusive interval [lo, hi]."""
         i = bisect_left(self.elements, lo)
         j = bisect_right(self.elements, hi)
         return IntSet(self.elements[i:j])
+
+
+def _check_elements(elements: Iterable[int]) -> None:
+    """Raise on the first element that is not an int, out of bounds or out of order."""
+    prev = None
+    for v in elements:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise TypeError(f"set elements must be ints, got {v!r}")
+        if abs(v) > SAFE_BOUND:
+            raise OverflowRisk(f"|{v}| exceeds the safe element bound 2**62-1")
+        if prev is not None and v <= prev:
+            raise ValueError("elements must be strictly increasing")
+        prev = v
+
+
+def _trusted(elements: tuple[int, ...]) -> IntSet:
+    """IntSet of kernel output, which is strictly increasing ints by
+    construction: only its extremes are checked against SAFE_BOUND."""
+    if elements and (elements[0] < -SAFE_BOUND or elements[-1] > SAFE_BOUND):
+        _check_elements(elements)
+    result = object.__new__(IntSet)
+    object.__setattr__(result, "elements", elements)
+    return result
 
 
 def make_set(values: Iterable[int]) -> IntSet:
@@ -140,58 +178,90 @@ def interval(lo: int, hi: int) -> IntSet:
 CONWAY_SET = IntSet((0, 2, 3, 4, 7, 11, 12, 14))
 
 
-def _packed(A: IntSet) -> int:
-    """Bitmask of A translated to start at 0 (bit i set iff min(A)+i in A)."""
-    lo = A.min
-    bits = 0
-    for a in A.elements:
-        bits |= 1 << (a - lo)
-    return bits
+def _packed(values: Iterable[int], base: int) -> int:
+    """Bitmask with bit v-base set for each v in `values` (all >= base).
+
+    The bits are written as ASCII digits, most significant first, and parsed
+    by int(..., 2): linear in the span, where OR-ing in 1 << (v-base) per
+    value would copy the growing mask each time.
+    """
+    offsets = list(map(base.__rsub__, values))
+    if not offsets:
+        return 0
+    top = max(offsets)
+    digits = bytearray(b"0") * (top + 1)
+    # Consume the map at C speed; each call sets the digit of one value.
+    deque(map(digits.__setitem__, map(top.__sub__, offsets), repeat(ord("1"))), maxlen=0)
+    return int(digits, 2)
 
 
-def _unpack(mask: int, base: int) -> IntSet:
+# ASCII "0"/"1" to the bytes 0/1, for itertools.compress.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _unpack(mask: int, base: int) -> tuple[int, ...]:
+    """The values base+i, rising, for each set bit i of `mask`."""
     # bin(mask)[:1:-1] is the bit string least-significant-first.
-    return IntSet(tuple(i + base for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"))
+    flags = bin(mask)[:1:-1].encode("ascii").translate(_DIGIT_FLAGS)
+    return tuple(compress(range(base, base + len(flags)), flags))
 
 
-def _check_pair_budget(A: IntSet) -> None:
-    n = len(A)
-    if n * n > _PAIR_LIMIT:
-        raise ValueError(
-            f"|A| = {n} is too large for a set of diameter above {_BITSET_SPAN_LIMIT}: "
-            f"its {n * n} pairs exceed the limit of {_PAIR_LIMIT}"
-        )
+def _takes_hash_path(A: IntSet) -> bool:
+    """Whether the kernel hashes A's pairs rather than packing a bitset.
+
+    Past the span cut it must, and refuses more than _PAIR_LIMIT pairs.
+    Below it, hashing wins when the pairs number fewer than the diameter.
+    """
+    n2 = len(A) * len(A)
+    if A.diameter > _BITSET_SPAN_LIMIT:
+        if n2 > _PAIR_LIMIT:
+            raise ValueError(
+                f"|A| = {len(A)} is too large for a set of diameter above "
+                f"{_BITSET_SPAN_LIMIT}: its {n2} pairs exceed the limit of {_PAIR_LIMIT}"
+            )
+        return True
+    return n2 < A.diameter and n2 <= _PAIR_LIMIT
 
 
 def sumset(A: IntSet) -> IntSet:
     """The set {a+b : a, b in A}."""
     if not A:
         return IntSet()
-    if A.diameter > _BITSET_SPAN_LIMIT:
-        _check_pair_budget(A)
-        return make_set({a + b for a in A.elements for b in A.elements})
-    bits = _packed(A)
+    el = A.elements
+    if _takes_hash_path(A):
+        sums: set[int] = set()
+        for i, a in enumerate(el):
+            sums.update(map(a.__add__, el[i:]))
+        return _trusted(tuple(sorted(sums)))
     lo = A.min
+    bits = _packed(el, lo)
     acc = 0
-    for a in A.elements:
+    for a in el:
         acc |= bits << (a - lo)
-    return _unpack(acc, 2 * lo)
+    return _trusted(_unpack(acc, 2 * lo))
 
 
 def diffset(A: IntSet) -> IntSet:
     """The set {a-b : a, b in A}; symmetric about 0."""
     if not A:
         return IntSet()
-    if A.diameter > _BITSET_SPAN_LIMIT:
-        _check_pair_budget(A)
-        return make_set({a - b for a in A.elements for b in A.elements})
-    bits = _packed(A)
-    lo, span = A.min, A.diameter
-    acc = 0
-    for b in A.elements:
-        # bit position (a-lo) + span - (b-lo) encodes the difference a-b.
-        acc |= bits << (span - (b - lo))
-    return _unpack(acc, -span)
+    el = A.elements
+    # Only the positive differences are found; the rest is their mirror.
+    if _takes_hash_path(A):
+        found: set[int] = set()
+        for i, b in enumerate(el):
+            # b.__rsub__(a) is a-b, for each a above b.
+            found.update(map(b.__rsub__, el[i + 1 :]))
+        positive = tuple(sorted(found))
+    else:
+        lo = A.min
+        bits = _packed(el, lo)
+        acc = 0
+        for b in el:
+            # bit k of bits >> (b-lo) marks the difference a-b = k >= 0.
+            acc |= bits >> (b - lo)
+        positive = _unpack(acc >> 1, 1)
+    return _trusted((*map(neg, reversed(positive)), 0, *positive))
 
 
 def affine(A: IntSet, x: int, y: int) -> IntSet:
@@ -253,7 +323,7 @@ def symmetry_point(A: IntSet) -> Optional[int]:
     if not A:
         return None
     a_star = A.min + A.max
-    mirrored = tuple(a_star - v for v in reversed(A.elements))
+    mirrored = tuple(map(a_star.__sub__, reversed(A.elements)))
     return a_star if mirrored == A.elements else None
 
 
@@ -311,4 +381,4 @@ def parse_set_literal(text: str) -> IntSet:
 
 def format_set_literal(A: IntSet) -> str:
     """Canonical comma-separated rendering; inverse of parse_set_literal."""
-    return ",".join(str(v) for v in A.elements)
+    return ",".join(map(str, A.elements))

@@ -16,7 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intset import IntSet, SetClass, affine, classify, diffset, interval, make_set, sumset
+from .intset import (
+    IntSet,
+    SetClass,
+    _class_from_counts,
+    affine,
+    diffset,
+    interval,
+    make_set,
+    sumset,
+)
 
 
 class BadParams(ValueError):
@@ -62,9 +71,10 @@ def build_base(m: int, d: int, k: int) -> NathansonParams:
     A = A_star.union([m])
 
     # The construction guarantees both facts; failing here means a bug above.
-    if classify(A) is not SetClass.MSTD:
+    S = sumset(A)
+    if _class_from_counts(len(S), len(diffset(A))) is not SetClass.MSTD:
         raise RuntimeError(f"self-check failed: base for (m={m}, d={d}, k={k}) is not MSTD")
-    if 2 * m not in sumset(A) or 2 * m in sumset(A_star):
+    if 2 * m not in S or 2 * m in sumset(A_star):
         raise RuntimeError(f"self-check failed: 2m not a fresh sum for (m={m}, d={d}, k={k})")
 
     return NathansonParams(m=m, d=d, k=k, B=B, L=L, a_star=a_star, A_star=A_star, A=A)

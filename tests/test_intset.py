@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from altchains import (
@@ -95,6 +95,15 @@ class TestSumDiff:
         # elements near the cap are constructible, but their sums are not
         with pytest.raises(OverflowRisk):
             sumset(make_set([0, 2**62 - 1]))
+
+    def test_diffset_result_is_bound_checked_too(self):
+        with pytest.raises(OverflowRisk, match=rf"\|{-(2**63 - 2)}\|"):
+            diffset(make_set([-(2**62 - 1), 2**62 - 1]))
+
+    def test_bitset_result_is_bound_checked_too(self):
+        # diameter 1, so the bitset path: its sums pass the cap as well
+        with pytest.raises(OverflowRisk, match=rf"\|{2**63 - 4}\|"):
+            sumset(make_set([2**62 - 2, 2**62 - 1]))
 
 
 class TestAffine:
@@ -273,6 +282,149 @@ class TestHashPathBudget:
     def test_bitset_path_unlimited(self):
         # A dense set of more than 2048 elements takes the bitset path.
         assert len(sumset(interval(0, 2999))) == 5999
+
+
+# A copy of IntSet's element-by-element check: the reference for its C-level pass.
+def reference_check(elements):
+    prev = None
+    for v in elements:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise TypeError(f"set elements must be ints, got {v!r}")
+        if abs(v) > 2**62 - 1:
+            raise OverflowRisk(f"|{v}| exceeds the safe element bound 2**62-1")
+        if prev is not None and v <= prev:
+            raise ValueError("elements must be strictly increasing")
+        prev = v
+
+
+class Tagged(int):
+    """An int subclass: IntSet accepts it like a plain int."""
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+BOUND_EDGES = [2**62 - 1, 2**62, 2**62 + 1, -(2**62 - 1), -(2**62), -(2**62) - 1]
+raw_elements = st.one_of(
+    st.integers(-50, 50),
+    st.sampled_from(BOUND_EDGES),
+    st.booleans(),
+    st.floats(allow_nan=True),
+    st.integers(-50, 50).map(Tagged),
+)
+strict_runs = st.lists(st.integers(-2**62 + 1, 2**62 - 1), unique=True).map(sorted)
+raw_tuples = st.one_of(
+    st.lists(raw_elements, max_size=12),
+    strict_runs,
+    strict_runs.map(lambda v: v[::-1]),
+    strict_runs.filter(bool).map(lambda v: v + v[-1:]),
+    # a valid run with one element swapped for an arbitrary value
+    st.tuples(strict_runs.filter(bool), st.integers(0, 10**6), raw_elements).map(
+        lambda t: t[0][: t[1] % len(t[0])] + [t[2]] + t[0][t[1] % len(t[0]) + 1 :]
+    ),
+    # a valid run of plain ints and int subclasses
+    strict_runs.map(lambda v: [Tagged(x) if x % 2 else x for x in v]),
+).map(tuple)
+
+
+class TestValidation:
+    @given(raw_tuples)
+    @settings(max_examples=400)
+    def test_same_verdict_as_the_reference_loop(self, t):
+        want = _outcome(reference_check, t)
+        assert _outcome(IntSet, t) == want
+        if want is None:
+            assert IntSet(t).elements is t
+
+    @pytest.mark.parametrize(
+        "t",
+        [(1, True), (0.0,), (2, 1), (1, 1), (2**62,), (-(2**62), 0), (0, 2**62, 2**62 + 1),
+         (Tagged(1), Tagged(2)), (1, Tagged(1)), (0, 5, 3, 2**62)],
+    )
+    def test_examples(self, t):
+        assert _outcome(IntSet, t) == _outcome(reference_check, t)
+
+
+def _counts(A):
+    return len(sumset(A)), len(diffset(A))
+
+
+def _naive_counts(A):
+    return len(naive_sumset(A)), len(naive_diffset(A))
+
+
+@st.composite
+def near_the_switch(draw):
+    """A set with |A|^2 one above or one below its diameter, at any base."""
+    n = draw(st.integers(2, 40))
+    diameter = n * n + draw(st.sampled_from([-1, 1]))
+    inner = draw(st.sets(st.integers(1, diameter - 1), min_size=n - 2, max_size=n - 2))
+    base = draw(st.integers(-(10**9), 10**9))
+    return make_set(base + v for v in {0, diameter, *inner})
+
+
+class TestKernelPaths:
+    """sumset and diffset against the double loop, on both kernel paths."""
+
+    @given(near_the_switch())
+    def test_at_the_switch(self, A):
+        assert intset_module._takes_hash_path(A) == (len(A) ** 2 < A.diameter)
+        assert sumset(A).elements == tuple(sorted(naive_sumset(A)))
+        assert diffset(A).elements == tuple(sorted(naive_diffset(A)))
+
+    def test_path_rule(self, monkeypatch):
+        # Three elements: 9 pairs against diameters 8, 9 and 10.
+        assert not intset_module._takes_hash_path(make_set([0, 1, 8]))
+        assert not intset_module._takes_hash_path(make_set([0, 1, 9]))
+        assert intset_module._takes_hash_path(make_set([0, 1, 10]))
+        # Below the span cut a set past the pair budget packs, never refuses.
+        monkeypatch.setattr(intset_module, "_PAIR_LIMIT", 100)
+        A = IntSet(tuple(range(0, 11 * 10**5, 10**5)))
+        assert not intset_module._takes_hash_path(A)
+        assert _counts(A) == _naive_counts(A) == (21, 21)
+
+    @given(st.sets(st.integers(-(10**12), 10**12), min_size=1, max_size=40))
+    def test_sparse_sets_with_negative_bases(self, values):
+        A = make_set(values)
+        assert sumset(A).elements == tuple(sorted(naive_sumset(A)))
+        assert diffset(A).elements == tuple(sorted(naive_diffset(A)))
+
+    @given(st.integers(-(2**61) + 1, 2**61 - 1))
+    def test_singletons(self, v):
+        assert sumset(make_set([v])).elements == (2 * v,)
+        assert diffset(make_set([v])).elements == (0,)
+
+    @given(st.integers(-(10**6), 10**6), st.sets(st.integers(0, 2199), max_size=200))
+    @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_dense_sets(self, base, holes):
+        A = make_set(base + v for v in range(2200) if v not in holes)
+        assert len(A) >= 2000
+        assert _counts(A) == _naive_counts(A)
+
+    def test_diameter_at_the_span_cut_hashes(self, monkeypatch):
+        # The method-2 first member dilated to a diameter of exactly 2**24:
+        # ten elements, so it hashes and never packs a 2**24-bit mask.
+        A = affine(make_set([-1, 0, 2, 3, 4, 7, 11, 12, 14, 15]), 2**20, 0)
+        assert A.diameter == 2**24
+
+        def refuse(*args):
+            raise AssertionError("packed a bitset")
+
+        monkeypatch.setattr(intset_module, "_packed", refuse)
+        p = profile(A)
+        assert (p.sum_card, p.diff_card) == _naive_counts(A) == (32, 31)
+
+    @given(st.lists(st.integers(0, 5000)), st.integers(-100, 0))
+    def test_packed_matches_the_or_loop(self, values, base):
+        bits = 0
+        for v in values:
+            bits |= 1 << (v - base)
+        assert intset_module._packed(values, base) == bits
 
 
 class TestProperties:

@@ -1,5 +1,7 @@
 import pytest
 
+import altchains.intset
+import altchains.nathanson
 from altchains import (
     BadParams,
     SetClass,
@@ -51,6 +53,19 @@ class TestBuildBase:
         p = conway_params
         assert 2 * p.m in sumset(p.A)
         assert 2 * p.m not in sumset(p.A_star)
+
+    def test_one_kernel_pass_on_A(self, monkeypatch):
+        # sumset(A) serves both the class check and the fresh-sum check;
+        # the second call is sumset(A_star).
+        calls = []
+        for module in (altchains.nathanson, altchains.intset):
+            original = module.sumset
+            def counted(A, original=original):
+                calls.append(len(A))
+                return original(A)
+            monkeypatch.setattr(module, "sumset", counted)
+        build_base(4, 1, 3)
+        assert calls == [8, 7]
 
     def test_sweep_mstd_and_symmetric(self):
         for m, d, k in valid_param_triples(16, 6):
