@@ -12,10 +12,11 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .intset import (
     _BITSET_SPAN_LIMIT,
+    _RANGE_LIMIT,
     DIAMETER_ZERO,
     Density,
     EmptyProfile,
@@ -150,21 +151,18 @@ def _chain_profiles(members: Sequence[IntSet]) -> tuple[SumDiffProfile, ...]:
 
 @dataclass(frozen=True)
 class Chain:
-    """Indexed (1-based) sequence of sets with per-index profiles and classes."""
+    """Indexed (1-based) sequence of sets with per-index profiles."""
 
     sets: tuple[IntSet, ...]
     method_tag: MethodTag
     profiles: tuple[SumDiffProfile, ...]
-    classes: tuple[SetClass, ...]
 
     @classmethod
     def from_sets(cls, sets: Iterable[IntSet], method_tag: MethodTag) -> "Chain":
         members = tuple(sets)
         if not members:
             raise ValueError("a chain needs at least one set")
-        profiles = _chain_profiles(members)
-        classes = tuple(p.set_class for p in profiles)
-        return cls(sets=members, method_tag=method_tag, profiles=profiles, classes=classes)
+        return cls(sets=members, method_tag=method_tag, profiles=_chain_profiles(members))
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -174,6 +172,30 @@ class Chain:
         if not 1 <= index <= len(self.sets):
             raise IndexError(f"chain index {index} outside 1..{len(self.sets)}")
         return self.sets[index - 1]
+
+
+def _grow(
+    first: IntSet, new_at: Callable[[int], Sequence[int]], steps: int, method_tag: MethodTag
+) -> Chain:
+    """The `steps`-member chain from `first` whose member j+1 is member j plus new_at(j).
+
+    Members that would hold more than _RANGE_LIMIT elements together, the
+    bound set literals have, are refused before any member is built.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    appends = []
+    size = total = len(first)
+    for j in range(1, steps):
+        appends.append(new_at(j))
+        size += len(appends[-1])
+        total += size
+        if total > _RANGE_LIMIT:
+            raise ValueError(f"a chain of {steps} steps holds more than {_RANGE_LIMIT} elements")
+    members = [first]
+    for new in appends:
+        members.append(members[-1].union(new))
+    return Chain.from_sets(members, method_tag)
 
 
 @dataclass(frozen=True)
@@ -200,9 +222,9 @@ def validate_chain(chain: Chain) -> ValidationReport:
     # and would already have been flagged at the first pair it violates.
     failures: list[Failure] = []
 
-    for i, (cls, p) in enumerate(zip(chain.classes, chain.profiles), start=1):
+    for i, p in enumerate(chain.profiles, start=1):
         want = SetClass.MSTD if i % 2 else SetClass.MDTS
-        if cls is not want:
+        if p.set_class is not want:
             failures.append((i, "alternation", (p.sum_card, p.diff_card)))
 
     for i in range(1, len(chain.sets)):
@@ -260,7 +282,7 @@ def growth_table(chain: Chain) -> tuple[GrowthRow, ...]:
 
 
 def _mstd_positions(chain: Chain) -> list[int]:
-    return [i for i, c in enumerate(chain.classes, start=1) if c is SetClass.MSTD]
+    return [i for i, p in enumerate(chain.profiles, start=1) if p.set_class is SetClass.MSTD]
 
 
 def growth_rates(chain: Chain) -> tuple[Fraction, Fraction]:

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from .chains import Chain, GrowthRow, MethodTag, growth_table, validate_chain
 from .intset import (
+    _RANGE_LIMIT,
     CONWAY_SET,
     _class_from_counts,
     diffset,
@@ -41,6 +42,8 @@ MARKDOWN_HEADER = (
     "Density",
 )
 CSV_HEADER = "set,sumcard,diffcard,card,diameter,card_ratio,diam_ratio,density"
+# `verify` refuses chain files longer than this before parsing them.
+_FILE_BYTES_LIMIT = 1 << 28
 
 
 class EmptyRows(ValueError):
@@ -104,10 +107,14 @@ def parse_chain_text(text: str) -> Chain:
     except (KeyError, ValueError):
         raise ValueError(f"unknown method tag in header: {lines[0]!r}") from None
     sets = []
+    total = 0
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             raise ValueError(f"line {lineno}: empty set line in chain file")
         sets.append(parse_set_literal(line))
+        total += len(sets[-1])
+        if total > _RANGE_LIMIT:
+            raise ValueError(f"line {lineno}: chain file holds more than {_RANGE_LIMIT} values")
     if not sets:
         raise ValueError("chain file holds no sets")
     return Chain.from_sets(sets, tag)
@@ -170,7 +177,11 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    chain = parse_chain_text(Path(args.file).read_text())
+    with open(args.file, "rb") as f:
+        data = f.read(_FILE_BYTES_LIMIT + 1)
+    if len(data) > _FILE_BYTES_LIMIT:
+        raise ValueError(f"chain file is longer than {_FILE_BYTES_LIMIT} bytes")
+    chain = parse_chain_text(data.decode())
     report = validate_chain(chain)
     if report.ok:
         print(f"ok {len(chain)} sets")

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import Chain, MethodTag
-from .intset import IntSet, SetClass, classify, diffset, residue_count, sumset
+from .chains import Chain, MethodTag, _grow
+from .intset import IntSet, SetClass, _class_from_counts, diffset, residue_count, sumset
 
 
 class NotMSTD(ValueError):
@@ -57,19 +57,20 @@ class Method1Params:
         return self.cond1 and self.cond2
 
 
-def _check_base(A: IntSet) -> None:
+def _base_counts(A: IntSet) -> tuple[IntSet, IntSet]:
+    """A+A and A-A of a valid base; raises if A is not one."""
     if not A or A.min != 0:
         raise MissingZero("base must contain 0 as its minimum element")
-    if classify(A) is not SetClass.MSTD:
+    sums, diffs = sumset(A), diffset(A)
+    if _class_from_counts(len(sums), len(diffs)) is not SetClass.MSTD:
         raise NotMSTD("base must be sum-dominated")
+    return sums, diffs
 
 
-def analyze_modulus(A: IntSet, n: int) -> Method1Params:
-    """Evaluate both admissibility conditions of modulus n for base A."""
-    _check_base(A)
+def _evaluate(A: IntSet, n: int, sums: IntSet, diffs: IntSet) -> Method1Params:
+    """Both conditions of modulus n, from the base's sums and differences."""
     if n <= A.max:
         raise ModulusTooSmall(f"modulus must exceed max(base) = {A.max}, got {n}")
-    sums, diffs = sumset(A), diffset(A)
     x = sum(1 for a in A if n + a not in sums)
     y = sum(1 for b in A if n - b not in diffs)
     sum_residues = residue_count(sums, n)
@@ -86,20 +87,23 @@ def analyze_modulus(A: IntSet, n: int) -> Method1Params:
     )
 
 
+def analyze_modulus(A: IntSet, n: int) -> Method1Params:
+    """Evaluate both admissibility conditions of modulus n for base A."""
+    return _evaluate(A, n, *_base_counts(A))
+
+
 def search_moduli(A: IntSet) -> list[int]:
     """All admissible moduli in (max A, 2*max A], ascending.
 
     Above 2*max A the first condition cannot hold (no residues collide), so
     the search range is complete.
     """
-    _check_base(A)
-    return [n for n in range(A.max + 1, 2 * A.max + 1) if analyze_modulus(A, n).valid]
+    sums, diffs = _base_counts(A)
+    return [n for n in range(A.max + 1, 2 * A.max + 1) if _evaluate(A, n, sums, diffs).valid]
 
 
 def generate_chain_m1(A: IntSet, n: int, steps: int) -> Chain:
     """Generate the first `steps` sets of the alternating chain for (A, n)."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     params = analyze_modulus(A, n)
     if not params.cond1:
         raise ConditionsFail(
@@ -111,14 +115,9 @@ def generate_chain_m1(A: IntSet, n: int, steps: int) -> Chain:
             f"n={n}: 2y-x-1 = {2 * params.y - params.x - 1} does not exceed "
             f"the sum-difference gap of the base"
         )
-    sets = [A]
-    prev_odd = A
-    l = 1
-    while len(sets) < steps:
-        sets.append(prev_odd.union([l * n]))
-        if len(sets) == steps:
-            break
-        prev_odd = prev_odd.union(a + l * n for a in A)
-        sets.append(prev_odd)
-        l += 1
-    return Chain.from_sets(sets, MethodTag.METHOD1)
+    # Member 2l appends l*n, and member 2l+1 the rest of A + l*n (min A is 0).
+    rest = A.elements[1:]
+    def new_at(j: int) -> tuple[int, ...]:
+        shift = (j + 1) // 2 * n
+        return (shift,) if j % 2 else tuple(a + shift for a in rest)
+    return _grow(A, new_at, steps, MethodTag.METHOD1)

@@ -14,8 +14,8 @@ identities that the symmetry argument rests on.
 
 from __future__ import annotations
 
-from .chains import Chain, MethodTag, ValidationReport, _accumulator
-from .intset import IntSet, SumDiffProfile, profile
+from .chains import Chain, MethodTag, ValidationReport, _accumulator, _grow
+from .intset import IntSet, SumDiffProfile
 from .nathanson import NathansonParams
 
 
@@ -25,9 +25,7 @@ class ConstraintViolation(ValueError):
 
 def build_a1_m2(params: NathansonParams) -> IntSet:
     """First chain member: the base with its symmetric fringe pair attached."""
-    a1 = _first_member(params)
-    _check_first_member(params, profile(a1))
-    return a1
+    return generate_chain_m2(params, 1).set_at(1)
 
 
 def _first_member(params: NathansonParams) -> IntSet:
@@ -48,30 +46,23 @@ def _check_first_member(params: NathansonParams, p: SumDiffProfile) -> None:
         )
 
 
+def _new_at(params: NathansonParams, j: int) -> int:
+    """The element member j+1 adds to member j, in round r = (j+1)//2."""
+    m, d, k = params.m, params.d, params.k
+    r = (j + 1) // 2
+    return (k + r + 1) * m - d if j % 2 else -r * m - d
+
+
 def append_schedule(params: NathansonParams, steps: int) -> tuple[int, ...]:
     """The elements appended after the first member, one per chain step."""
-    m, d, k = params.m, params.d, params.k
-    out: list[int] = []
-    r = 1
-    while len(out) < steps - 1:
-        out.append((k + r + 1) * m - d)
-        if len(out) == steps - 1:
-            break
-        out.append(-r * m - d)
-        r += 1
-    return tuple(out)
+    return tuple(_new_at(params, j) for j in range(1, steps))
 
 
 def generate_chain_m2(params: NathansonParams, steps: int) -> Chain:
     """Generate the first `steps` sets of the one-element-per-step chain."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    current = _first_member(params)
-    sets = [current]
-    for element in append_schedule(params, steps):
-        current = current.union([element])
-        sets.append(current)
-    chain = Chain.from_sets(sets, MethodTag.METHOD2)
+    chain = _grow(
+        _first_member(params), lambda j: (_new_at(params, j),), steps, MethodTag.METHOD2
+    )
     # The chain has profiled the first member already; check it from there.
     _check_first_member(params, chain.profiles[0])
     return chain

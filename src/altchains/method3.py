@@ -8,6 +8,7 @@ For block k >= 0 the four members are
     phase 3:  phase 1 union {-5k-28, 5k+36}
     phase 4:  phase 3 union {5k+37}
 
+and phase 1 of block k+1 is phase 4 of block k union {-5k-29}.
 Phases 1 and 3 are sum-dominated: removing 5 leaves a set symmetric about 8
 whose sumset misses 10, and 5+5 restores exactly that one sum.  Phases 2 and
 4 each add 4 new sums but 6 new differences.
@@ -15,7 +16,7 @@ whose sumset misses 10, and 5+5 restores exactly that one sum.  Phases 2 and
 
 from __future__ import annotations
 
-from .chains import Chain, MethodTag
+from .chains import Chain, MethodTag, _grow
 from .intset import IntSet, diffset, make_set, sumset
 
 CORE_ELEMENTS = (-7, 0, 5, 8, 15)
@@ -33,23 +34,25 @@ def phase1_set(k: int) -> IntSet:
     return make_set(kept)
 
 
+def _block_appends(k: int) -> tuple[int, int, int, int]:
+    """What phases 2, 3, 4 of block k and phase 1 of block k+1 append, in order."""
+    return (5 * k + 36, -5 * k - 28, 5 * k + 37, -5 * k - 29)
+
+
 def set_m3(i: int) -> IntSet:
     """The chain member at 1-based position `i` in closed form."""
     if i < 1:
         raise ValueError(f"chain index must be >= 1, got {i}")
     k, r = divmod(i - 1, 4)
-    base = phase1_set(k)
-    if r == 0:
-        return base
-    # Phase r+1 of block k adds the first r of these to the phase-1 member.
-    return base.union((5 * k + 36, -5 * k - 28, 5 * k + 37)[:r])
+    return phase1_set(k).union(_block_appends(k)[:r])
 
 
 def generate_chain_m3(steps: int) -> Chain:
     """The first `steps` members of the closed-form chain."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    return Chain.from_sets((set_m3(i) for i in range(1, steps + 1)), MethodTag.METHOD3)
+    def new_at(j: int) -> tuple[int, ...]:
+        k, r = divmod(j - 1, 4)
+        return _block_appends(k)[r : r + 1]
+    return _grow(phase1_set(0), new_at, steps, MethodTag.METHOD3)
 
 
 def delta_counts(i: int) -> tuple[int, int]:

@@ -177,9 +177,9 @@ def test_criterion_06_method2_identity_suite():
         for m, d, k in METHOD2_CASES:
             params = build_base(m, d, k)
             chain = m2_chain_25(m, d, k)
-            for i, (cls, p) in enumerate(zip(chain.classes, chain.profiles), start=1):
+            for i, p in enumerate(chain.profiles, start=1):
                 want = SetClass.MSTD if i % 2 else SetClass.MDTS
-                if cls is not want:
+                if p.set_class is not want:
                     violations.append((m, d, k, i, "alternation"))
                 if i % 2 == 0 and not p.sum_card <= p.diff_card - m + 3:
                     violations.append((m, d, k, i, "mdts-bound"))
@@ -196,12 +196,12 @@ def test_criterion_07_method3_suite():
     with criterion(7, "method-3 suite across blocks k <= 25 (104 sets)", budget=5.0):
         chain = m3_chain_104()
         violations = []
-        for i, (cls, p) in enumerate(zip(chain.classes, chain.profiles), start=1):
+        for i, p in enumerate(chain.profiles, start=1):
             if i % 2:
-                if cls is not SetClass.MSTD or p.sum_card != p.diff_card + 1:
+                if p.set_class is not SetClass.MSTD or p.sum_card != p.diff_card + 1:
                     violations.append((i, "odd-parity"))
             else:
-                if cls is not SetClass.MDTS or p.diff_card != p.sum_card + 1:
+                if p.set_class is not SetClass.MDTS or p.diff_card != p.sum_card + 1:
                     violations.append((i, "even-parity"))
         for i in range(2, 105, 2):
             if delta_counts(i) != (4, 6):

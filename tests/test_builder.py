@@ -1,0 +1,99 @@
+"""Each generator against its construction written out from the definition.
+
+The generators share one member loop (`chains._grow`) and differ only in
+their first member and per-step append rule, so an off-by-one in a rule
+shows here as a member that differs from the definition.
+"""
+
+import pytest
+
+import altchains.chains
+from altchains import (
+    CONWAY_SET,
+    append_schedule,
+    build_a1_m2,
+    build_base,
+    generate_chain_m1,
+    generate_chain_m2,
+    generate_chain_m3,
+    make_set,
+    phase1_set,
+    set_m3,
+)
+from altchains.nathanson import k_min
+
+# The method-2 bases of the `chains` benchmark workload: m in M2_MS with
+# d in {m/4, 3m/4}, at both ends of the k range it draws from.
+M2_BASES = [
+    (m, d, k)
+    for m in (4, 8, 12, 16)
+    for d in (m // 4, 3 * m // 4)
+    for k in sorted({k_min(m, d), 6})
+]
+
+
+@pytest.mark.parametrize("n", [17, 18, 20])
+def test_method1_matches_definition(n):
+    # A_{2l} = A_{2l-1} union {l*n} and A_{2l+1} = A_{2l-1} union (A + l*n).
+    steps = 201
+    want = [CONWAY_SET]
+    odd = CONWAY_SET
+    for l in range(1, steps // 2 + 1):
+        want.append(make_set([*odd, l * n]))
+        odd = make_set([*odd, *(a + l * n for a in CONWAY_SET)])
+        want.append(odd)
+    assert generate_chain_m1(CONWAY_SET, n, steps).sets == tuple(want[:steps])
+
+
+def test_method3_matches_closed_form():
+    # 401 members: every phase, and 100 block boundaries.
+    chain = generate_chain_m3(401)
+    assert chain.sets == tuple(set_m3(i) for i in range(1, 402))
+
+
+@pytest.mark.parametrize("m, d, k", M2_BASES)
+def test_method2_matches_schedule(m, d, k):
+    steps = 125
+    params = build_base(m, d, k)
+    # Round r appends (k+r+1)m - d, then -rm - d.
+    want = [v for r in range(1, steps) for v in ((k + r + 1) * m - d, -r * m - d)]
+    schedule = append_schedule(params, steps)
+    assert schedule == tuple(want[: steps - 1])
+    a1 = build_a1_m2(params)
+    assert a1 == params.A.union([-d, (k + 1) * m - d])
+    chain = generate_chain_m2(params, steps)
+    assert chain.sets == tuple(a1.union(schedule[:i]) for i in range(steps))
+
+
+@pytest.mark.parametrize(
+    "generate, first",
+    [
+        (lambda s: generate_chain_m1(CONWAY_SET, 17, s), CONWAY_SET),
+        (lambda s: generate_chain_m2(build_base(4, 1, 3), s), build_a1_m2(build_base(4, 1, 3))),
+        (generate_chain_m3, phase1_set(0)),
+    ],
+    ids=["method1", "method2", "method3"],
+)
+def test_zero_and_one_step(generate, first):
+    assert generate(1).sets == (first,)
+    with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+        generate(0)
+
+
+class TestChainBound:
+    def test_refused_before_building(self, monkeypatch):
+        monkeypatch.setattr(altchains.chains, "_RANGE_LIMIT", 100)
+        params = build_base(4, 1, 3)
+        # Members of 10, 11, ..., 16 elements hold 91 together; an eighth
+        # of 17 would pass 100.
+        assert len(generate_chain_m2(params, 7)) == 7
+        with pytest.raises(ValueError, match="more than 100 elements"):
+            generate_chain_m2(params, 8)
+        with pytest.raises(ValueError, match="a chain of 50 steps holds more than 100 elements"):
+            generate_chain_m2(params, 50)
+
+    def test_every_generator_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(altchains.chains, "_RANGE_LIMIT", 100)
+        for generate in (lambda s: generate_chain_m1(CONWAY_SET, 17, s), generate_chain_m3):
+            with pytest.raises(ValueError, match="more than 100 elements"):
+                generate(1000)

@@ -28,7 +28,7 @@ class TestChainContainer:
     def test_from_sets_populates_profiles_and_classes(self, m1_chain):
         assert len(m1_chain) == 7
         assert m1_chain.method_tag is MethodTag.METHOD1
-        assert m1_chain.classes[0] is SetClass.MSTD
+        assert m1_chain.profiles[0].set_class is SetClass.MSTD
         assert m1_chain.profiles[0].sum_card == 26
 
     def test_empty_rejected(self):

@@ -1,10 +1,12 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import altchains.chains
 import altchains.cli
 import altchains.intset
 from altchains import MethodTag, generate_chain_m1
@@ -248,6 +250,38 @@ class TestChainVerbAndFiles:
     def test_parse_rejects_blank_set_line(self):
         with pytest.raises(ValueError):
             parse_chain_text("# method=External base=0,2\n0,2\n\n0,1,2\n")
+
+    def test_chain_steps_bounded(self, capsys, monkeypatch):
+        # Without the bound this would try to build 10**9 members.
+        monkeypatch.setattr(altchains.chains, "_RANGE_LIMIT", 100)
+        began = time.perf_counter()
+        assert main(["chain", "--method", "3", "--steps", "1000000000"]) == 2
+        assert time.perf_counter() - began < 5
+        assert capsys.readouterr().err.startswith("error: a chain of 1000000000 steps holds more")
+
+    def test_verify_refuses_long_file(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "chain.txt"
+        path.write_text(chain_to_text(generate_chain_m1(altchains.CONWAY_SET, 17, 3), 17))
+        size = path.stat().st_size
+        monkeypatch.setattr(altchains.cli, "_FILE_BYTES_LIMIT", size)
+        assert main(["verify", "--file", str(path)]) == 0
+        assert capsys.readouterr().out == "ok 3 sets\n"
+        monkeypatch.setattr(altchains.cli, "_FILE_BYTES_LIMIT", size - 1)
+        assert main(["verify", "--file", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: chain file is longer than {size - 1} bytes\n"
+
+    def test_chain_file_values_bounded(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(altchains.cli, "_RANGE_LIMIT", 100)
+        # Members of 8, 9, 16, 17, 24, 25 and 32 elements: 99 values through
+        # line 7, 131 through line 8.
+        text = chain_to_text(generate_chain_m1(altchains.CONWAY_SET, 17, 7), 17)
+        assert len(parse_chain_text(text.rsplit("\n", 2)[0] + "\n")) == 6
+        with pytest.raises(ValueError, match="line 8: chain file holds more than 100 values"):
+            parse_chain_text(text)
+        path = tmp_path / "chain.txt"
+        path.write_text(text)
+        assert main(["verify", "--file", str(path)]) == 2
+        assert "line 8: chain file holds more than 100 values" in capsys.readouterr().err
 
 
 class TestScanParams:

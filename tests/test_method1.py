@@ -1,5 +1,8 @@
 import pytest
 
+import altchains.chains
+import altchains.intset
+import altchains.method1
 from altchains import (
     ConditionsFail,
     MissingZero,
@@ -10,8 +13,11 @@ from altchains import (
     analyze_modulus,
     generate_chain_m1,
     make_set,
+    residue_count,
     search_moduli,
 )
+
+from conftest import naive_diffset, naive_sumset
 
 # columns: sums, diffs, cardinality, diameter
 TABLE_1 = [
@@ -55,6 +61,59 @@ class TestAnalyzeModulus:
             analyze_modulus(affine(conway, 1, -2), 20)
 
 
+class TestOneKernelPass:
+    @pytest.fixture
+    def sumset_calls(self, monkeypatch):
+        calls = []
+        for module in (altchains.method1, altchains.chains, altchains.intset):
+            original = module.sumset
+            def counted(A, original=original):
+                calls.append(len(A))
+                return original(A)
+            monkeypatch.setattr(module, "sumset", counted)
+        return calls
+
+    def test_search_moduli(self, conway, sumset_calls):
+        # One pass on A serves the MSTD check and all 14 candidates.
+        assert search_moduli(conway) == [17, 18, 20]
+        assert sumset_calls == [8]
+
+    def test_analyze_modulus(self, conway, sumset_calls):
+        analyze_modulus(conway, 17)
+        assert sumset_calls == [8]
+
+    def test_generate_chain(self, conway, sumset_calls):
+        # The base's pass, then the chain seeding its first member.
+        generate_chain_m1(conway, 17, 7)
+        assert sumset_calls == [8, 8]
+
+    def test_error_order(self):
+        # MissingZero before NotMSTD before ModulusTooSmall.
+        with pytest.raises(MissingZero):
+            analyze_modulus(make_set([1, 2, 3]), 1)
+        with pytest.raises(NotMSTD):
+            analyze_modulus(make_set([0, 1, 2]), 1)
+        with pytest.raises(MissingZero):
+            search_moduli(make_set([1, 2, 3]))
+        with pytest.raises(NotMSTD):
+            search_moduli(make_set([0, 1, 2]))
+
+    @pytest.mark.parametrize(
+        "values", [(0, 2, 3, 4, 7, 11, 12, 14), (0, 1, 2, 4, 5, 9, 12, 13, 14)]
+    )
+    def test_params_match_naive(self, values):
+        A = make_set(values)
+        sums, diffs = naive_sumset(A), naive_diffset(A)
+        for n in range(A.max + 1, 2 * A.max + 1):
+            p = analyze_modulus(A, n)
+            x = sum(1 for a in A if n + a not in sums)
+            y = sum(1 for b in A if n - b not in diffs)
+            want = (x, y, residue_count(make_set(sums), n), residue_count(make_set(diffs), n))
+            assert (p.base, p.n, p.x, p.y, p.sum_residues, p.diff_residues) == (A, n, *want)
+            assert p.cond1 == (want[2] == want[3])
+            assert p.cond2 == (2 * y - x - 1 > len(sums) - len(diffs))
+
+
 class TestSearchModuli:
     def test_conway(self, conway):
         assert search_moduli(conway) == [17, 18, 20]
@@ -85,7 +144,7 @@ class TestGenerateChain:
     def test_alternation_with_n18(self, conway):
         chain = generate_chain_m1(conway, 18, 5)
         want = [SetClass.MSTD, SetClass.MDTS] * 2 + [SetClass.MSTD]
-        assert list(chain.classes) == want
+        assert [p.set_class for p in chain.profiles] == want
 
     def test_invalid_modulus_rejected(self, conway):
         with pytest.raises(ConditionsFail):

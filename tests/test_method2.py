@@ -74,7 +74,7 @@ class TestGenerateChain:
         got = [(p.sum_card, p.diff_card, p.card, p.diameter) for p in chain.profiles]
         assert got == FIXTURE_8_2_3
         want = [SetClass.MSTD, SetClass.MDTS] * 2 + [SetClass.MSTD]
-        assert list(chain.classes) == want
+        assert [p.set_class for p in chain.profiles] == want
 
     def test_bad_steps(self, conway_params):
         with pytest.raises(ValueError):

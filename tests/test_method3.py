@@ -80,7 +80,7 @@ class TestChain:
 
     def test_single_step(self):
         chain = generate_chain_m3(1)
-        assert chain.classes == (SetClass.MSTD,)
+        assert [p.set_class for p in chain.profiles] == [SetClass.MSTD]
 
     def test_cards_step_by_one(self):
         chain = generate_chain_m3(9)
