@@ -12,7 +12,6 @@ from .chains import (
 )
 from .intset import (
     CONWAY_SET,
-    DIAMETER_ZERO,
     BadModulus,
     EmptyProfile,
     IntSet,

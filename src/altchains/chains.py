@@ -17,14 +17,12 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .intset import (
     _BITSET_SPAN_LIMIT,
     _RANGE_LIMIT,
-    DIAMETER_ZERO,
-    Density,
     EmptyProfile,
     IntSet,
     SetClass,
     SumDiffProfile,
     _packed,
-    _profile_from_counts,
+    _trusted,
     diffset,
     sumset,
 )
@@ -145,7 +143,7 @@ def _chain_profiles(members: Sequence[IntSet]) -> tuple[SumDiffProfile, ...]:
     profiles = []
     for s in members:
         acc.advance(s)
-        profiles.append(_profile_from_counts(s, *acc.counts()))
+        profiles.append(SumDiffProfile(len(s), *acc.counts(), s.diameter))
     return tuple(profiles)
 
 
@@ -179,39 +177,49 @@ def _grow(
 ) -> Chain:
     """The `steps`-member chain from `first` whose member j+1 is member j plus new_at(j).
 
-    Members that would hold more than _RANGE_LIMIT elements together, the
-    bound set literals have, are refused before any member is built.
+    Each step appends below and above the previous hull, so every member is
+    one contiguous run of the last member: only the last is built and
+    checked, which raises ValueError on an append inside a hull or a repeated
+    element.  Members that would hold more than _RANGE_LIMIT elements
+    together, the bound set literals have, are refused before any is built.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    appends = []
+    below: list[int] = []  # falling, as appended
+    above: list[int] = []
+    runs = [(0, 0)]  # (len(below), len(above)) at each member
     size = total = len(first)
     for j in range(1, steps):
-        appends.append(new_at(j))
-        size += len(appends[-1])
+        new = sorted(new_at(j))
+        i = bisect_left(new, first.min)
+        below.extend(reversed(new[:i]))
+        above.extend(new[i:])
+        runs.append((len(below), len(above)))
+        size += len(new)
         total += size
         if total > _RANGE_LIMIT:
             raise ValueError(f"a chain of {steps} steps holds more than {_RANGE_LIMIT} elements")
-    members = [first]
-    for new in appends:
-        members.append(members[-1].union(new))
-    return Chain.from_sets(members, method_tag)
+    last = IntSet((*reversed(below), *first, *above)).elements
+    k, n = len(below), len(first)
+    return Chain.from_sets([_trusted(last[k - b : k + n + a]) for b, a in runs], method_tag)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     """Verdict of a chain check; ok iff no failures were recorded."""
 
-    ok: bool
     failures: tuple[Failure, ...]
     notes: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     @classmethod
     def from_failures(
         cls, failures: Iterable[Failure], notes: Iterable[str] = ()
     ) -> "ValidationReport":
-        fs = tuple(failures)
-        return cls(ok=not fs, failures=fs, notes=tuple(notes))
+        return cls(tuple(failures), tuple(notes))
 
 
 def validate_chain(chain: Chain) -> ValidationReport:
@@ -243,17 +251,12 @@ def validate_chain(chain: Chain) -> ValidationReport:
 
 
 @dataclass(frozen=True)
-class GrowthRow:
-    """One table row: cardinalities, diameter, step ratios and density."""
+class GrowthRow(SumDiffProfile):
+    """One table row: a member's profile with its index and step ratios."""
 
     index: int
-    sum_card: int
-    diff_card: int
-    card: int
-    diameter: int
     card_ratio: Optional[Fraction]
     diam_ratio: Optional[Fraction]
-    density: Density
 
 
 def growth_table(chain: Chain) -> tuple[GrowthRow, ...]:
@@ -266,16 +269,7 @@ def growth_table(chain: Chain) -> tuple[GrowthRow, ...]:
         if prev is not None and prev.diameter > 0:
             diam_ratio = Fraction(p.diameter, prev.diameter)
         rows.append(
-            GrowthRow(
-                index=i,
-                sum_card=p.sum_card,
-                diff_card=p.diff_card,
-                card=p.card,
-                diameter=p.diameter,
-                card_ratio=card_ratio,
-                diam_ratio=diam_ratio,
-                density=p.density,
-            )
+            GrowthRow(p.card, p.sum_card, p.diff_card, p.diameter, i, card_ratio, diam_ratio)
         )
         prev = p
     return tuple(rows)
@@ -308,11 +302,10 @@ def limiting_density(chain: Chain, probe_index: int) -> tuple[Optional[Fraction]
     if probe_index > len(chain.sets):
         raise ValueError(f"probe index {probe_index} beyond chain length {len(chain.sets)}")
     density = chain.profiles[probe_index - 1].density
-    if density is DIAMETER_ZERO:
+    if density is None:
         raise ValueError("density undefined at a diameter-0 probe")
     analytic: Optional[Fraction] = None
     if chain.method_tag is not MethodTag.EXTERNAL:
         card_rate, diam_rate = growth_rates(chain)
         analytic = card_rate / diam_rate
-    assert isinstance(density, Fraction)
     return analytic, density

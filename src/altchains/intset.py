@@ -60,22 +60,6 @@ class SetClass(enum.Enum):
     BALANCED = "Balanced"
 
 
-class _DiameterZero:
-    """Density marker for single-element sets; never rendered as 0/0."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "DiameterZero"
-
-
-DIAMETER_ZERO = _DiameterZero()
-
-# A `|` union, not `typing.Union`: typing caches Union objects for the life of
-# the process, which would pin this module's classes across a re-import.
-Density = Fraction | _DiameterZero
-
-
 @dataclass(frozen=True)
 class IntSet:
     """Finite set of integers, stored sorted and deduplicated."""
@@ -294,7 +278,11 @@ class SumDiffProfile:
     sum_card: int
     diff_card: int
     diameter: int
-    density: Density
+
+    @property
+    def density(self) -> Optional[Fraction]:
+        """card/diameter as an exact rational; None at diameter 0."""
+        return Fraction(self.card, self.diameter) if self.diameter else None
 
     @property
     def set_class(self) -> SetClass:
@@ -303,19 +291,10 @@ class SumDiffProfile:
 
 
 def profile(A: IntSet) -> SumDiffProfile:
-    """Full profile of a nonempty set; density kept as an exact rational."""
+    """Full profile of a nonempty set."""
     if not A:
         raise EmptyProfile("cannot profile the empty set")
-    return _profile_from_counts(A, len(sumset(A)), len(diffset(A)))
-
-
-def _profile_from_counts(A: IntSet, sum_card: int, diff_card: int) -> SumDiffProfile:
-    """Profile of a nonempty set whose |A+A| and |A-A| are already known."""
-    diam = A.diameter
-    density: Density = DIAMETER_ZERO if diam == 0 else Fraction(len(A), diam)
-    return SumDiffProfile(
-        card=len(A), sum_card=sum_card, diff_card=diff_card, diameter=diam, density=density
-    )
+    return SumDiffProfile(len(A), len(sumset(A)), len(diffset(A)), A.diameter)
 
 
 def symmetry_point(A: IntSet) -> Optional[int]:
@@ -343,9 +322,9 @@ def format_3dp(value: Fraction) -> str:
     return f"{scaled // 1000}.{scaled % 1000:03d}"
 
 
-def format_density(density: Density) -> str:
+def format_density(density: Optional[Fraction]) -> str:
     """3-decimal density, or N/A for the undefined density at diameter 0."""
-    return "N/A" if density is DIAMETER_ZERO else format_3dp(density)
+    return "N/A" if density is None else format_3dp(density)
 
 
 _INT_TOKEN = re.compile(r"^-?\d+$")
@@ -358,6 +337,9 @@ def parse_set_literal(text: str) -> IntSet:
     body = text.strip()
     if not body:
         return IntSet()
+    # Every token holds at least one value, so count them before splitting.
+    if body.count(",") >= _RANGE_LIMIT:
+        raise SetLiteralError(f"set literal holds more than {_RANGE_LIMIT} values")
     values: list[int] = []
     for token in body.split(","):
         tok = token.strip()
@@ -376,6 +358,9 @@ def parse_set_literal(text: str) -> IntSet:
             values.extend(range(a, b + 1))
             continue
         raise SetLiteralError(f"bad set-literal token {tok!r}")
+    # Single values after the last range are counted here, before dedupe.
+    if len(values) > _RANGE_LIMIT:
+        raise SetLiteralError(f"set literal holds more than {_RANGE_LIMIT} values")
     return make_set(values)
 
 

@@ -10,6 +10,7 @@ import pytest
 import altchains.chains
 from altchains import (
     CONWAY_SET,
+    MethodTag,
     append_schedule,
     build_a1_m2,
     build_base,
@@ -20,6 +21,7 @@ from altchains import (
     phase1_set,
     set_m3,
 )
+from altchains.chains import _grow
 from altchains.nathanson import k_min
 
 # The method-2 bases of the `chains` benchmark workload: m in M2_MS with
@@ -97,3 +99,34 @@ class TestChainBound:
         for generate in (lambda s: generate_chain_m1(CONWAY_SET, 17, s), generate_chain_m3):
             with pytest.raises(ValueError, match="more than 100 elements"):
                 generate(1000)
+
+
+class TestLastMemberCheck:
+    """`_grow` checks only its last member; every member is a run of it."""
+
+    @pytest.mark.parametrize(
+        "appends",
+        [
+            [(2,)],  # inside the first member's hull
+            [(10,), (7,)],  # inside the hull of member 2
+            [(-10,), (-5,)],  # the same, below
+            [(5,)],  # repeats an element of the first member
+            [(9, 9)],  # repeats an element within a step
+            [(9,), (9,)],  # repeats an earlier step's element
+        ],
+    )
+    def test_bad_rule_raises(self, appends):
+        with pytest.raises(ValueError):
+            _grow(make_set([0, 5]), lambda j: appends[j - 1], len(appends) + 1,
+                  MethodTag.EXTERNAL)
+
+    def test_members_are_runs(self):
+        # Each step appends two elements on each side of the hull, unsorted.
+        first = make_set([0, 3])
+        def new_at(j):
+            return (10 * j, -10 * j, 10 * j + 1, -10 * j - 1)
+        chain = _grow(first, new_at, 6, MethodTag.EXTERNAL)
+        want = [first]
+        for j in range(1, 6):
+            want.append(make_set([*want[-1], *new_at(j)]))
+        assert chain.sets == tuple(want)

@@ -13,8 +13,10 @@ from altchains import (
     growth_table,
     limiting_density,
     make_set,
+    profile,
     validate_chain,
 )
+from altchains.cli import paper_chain
 
 from conftest import spot_check_no_fill
 
@@ -100,6 +102,15 @@ class TestGrowthTable:
     def test_first_row_has_no_ratios(self, m1_chain):
         row = growth_table(m1_chain)[0]
         assert row.card_ratio is None and row.diam_ratio is None
+
+    @pytest.mark.parametrize("number", [1, 2, 3])
+    def test_rows_are_member_profiles(self, number):
+        chain = paper_chain(number)
+        for row in growth_table(chain):
+            p = profile(chain.set_at(row.index))
+            assert (row.card, row.sum_card, row.diff_card, row.diameter) == (
+                p.card, p.sum_card, p.diff_card, p.diameter)
+            assert row.density == p.density
 
 
 class TestGrowthRates:

@@ -98,8 +98,10 @@ class TestClassify:
 
     def test_oversized_literal(self, capsys, monkeypatch):
         monkeypatch.setattr(altchains.intset, "_RANGE_LIMIT", 100)
-        assert main(["classify", "--set", "0..59,100..159"]) == 2
-        assert "holds more than 100 values" in capsys.readouterr().err
+        for literal in ["0..59,100..159", "5,0..99", "0..99,5", ",".join(map(str, range(101)))]:
+            assert main(["classify", "--set", literal]) == 2
+            assert "holds more than 100 values" in capsys.readouterr().err
+        assert main(["classify", "--set", "0..98,5"]) == 0
 
     def test_wide_set_over_pair_budget(self, capsys):
         literal = ",".join(str(v) for v in range(0, 2049 * 2**25, 2**25))
@@ -318,6 +320,22 @@ class TestPublicSurface:
         proc = self._run(["-m", "altchains.cli", "classify", "--set=0,2,3,4,7,11,12,14"],
                          tmp_path)
         assert (proc.returncode, proc.stdout) == (0, "MSTD 26 25\n"), proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, head",
+        [
+            (["make_tables.py"], "## Method 1 (Conway base, modulus 17)\n| Set | Sums |"),
+            (["make_tables.py", "--format", "csv"],
+             "## Method 1 (Conway base, modulus 17)\nset,sumcard,"),
+            (["density_convergence.py", "--max-probe", "51"],
+             "## method 1 (Conway base, modulus 17)\nprobe  11: "),
+        ],
+        ids=["tables-markdown", "tables-csv", "density-convergence"],
+    )
+    def test_scripts(self, tmp_path, args, head):
+        proc = self._run([str(REPO / "scripts" / args[0]), *args[1:]], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(head), proc.stdout[:200]
 
 
 class TestUsage:

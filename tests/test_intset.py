@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from altchains import (
-    DIAMETER_ZERO,
     BadModulus,
     EmptyProfile,
     IntSet,
@@ -152,7 +151,7 @@ class TestProfile:
     def test_singleton_diameter_zero(self):
         p = profile(make_set([0]))
         assert (p.card, p.sum_card, p.diff_card, p.diameter) == (1, 1, 1, 0)
-        assert p.density is DIAMETER_ZERO
+        assert p.density is None
         assert format_density(p.density) == "N/A"
 
     def test_method2_first_member(self):
@@ -247,9 +246,16 @@ class TestSetLiterals:
         # Each range fits on its own; together they pass the cap.
         with pytest.raises(SetLiteralError, match="holds more than 100 values"):
             parse_set_literal("0..49,100..150")
-        # Single values before a range count toward the total.
-        with pytest.raises(SetLiteralError, match="holds more than 100 values"):
-            parse_set_literal("-2,-1,0..98")
+        # Every value counts, whatever the token order and before duplicates
+        # are dropped; 101 tokens are refused by their commas, before any
+        # token is read.
+        singles = ",".join(map(str, range(100)))
+        for literal in ["-2,-1,0..98", "5,0..99", "0..99,5", "0,0..99", singles + ",100",
+                        singles + ",x"]:
+            with pytest.raises(SetLiteralError, match="holds more than 100 values"):
+                parse_set_literal(literal)
+        assert len(parse_set_literal("0..98,5")) == 99
+        assert len(parse_set_literal(singles)) == 100
 
     def test_format_roundtrip(self, conway):
         assert parse_set_literal(format_set_literal(conway)) == conway
