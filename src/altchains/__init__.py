@@ -12,14 +12,9 @@ from .chains import (
 )
 from .intset import (
     CONWAY_SET,
-    BadModulus,
-    EmptyProfile,
     IntSet,
-    OverflowRisk,
     SetClass,
-    SetLiteralError,
     SumDiffProfile,
-    ZeroDilation,
     affine,
     classify,
     diffset,
@@ -35,29 +30,23 @@ from .intset import (
     symmetry_point,
 )
 from .method1 import (
-    ConditionsFail,
     Method1Params,
-    MissingZero,
-    ModulusTooSmall,
-    NotMSTD,
     analyze_modulus,
     generate_chain_m1,
     search_moduli,
 )
 from .method2 import (
-    ConstraintViolation,
     append_schedule,
     build_a1_m2,
     generate_chain_m2,
     verify_star_identities,
 )
 from .method3 import (
-    PhaseUnsupported,
     delta_counts,
     generate_chain_m3,
     phase1_set,
     set_m3,
 )
-from .nathanson import BadParams, NathansonParams, build_base, check_interval_lemma
+from .nathanson import NathansonParams, build_base, check_interval_lemma
 
 __version__ = "0.1.0"

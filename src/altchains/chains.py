@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .intset import (
     _BITSET_SPAN_LIMIT,
     _RANGE_LIMIT,
-    EmptyProfile,
     IntSet,
     SetClass,
     SumDiffProfile,
@@ -138,7 +137,7 @@ def _accumulator(sets: Sequence[IntSet]) -> Union[_Masks, _Kernel]:
 def _chain_profiles(members: Sequence[IntSet]) -> tuple[SumDiffProfile, ...]:
     """Profiles of every member, grown from the previous member where it appends."""
     if not all(members):
-        raise EmptyProfile("cannot profile the empty set")
+        raise ValueError("cannot profile the empty set")
     acc = _accumulator(members)
     profiles = []
     for s in members:

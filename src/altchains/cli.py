@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -19,7 +18,6 @@ from .intset import (
     CONWAY_SET,
     _class_from_counts,
     diffset,
-    format_3dp,
     format_density,
     format_set_literal,
     parse_set_literal,
@@ -46,14 +44,6 @@ CSV_HEADER = "set,sumcard,diffcard,card,diameter,card_ratio,diam_ratio,density"
 _FILE_BYTES_LIMIT = 1 << 28
 
 
-class EmptyRows(ValueError):
-    """Table rendering needs at least one row."""
-
-
-def _ratio_text(value: Optional[Fraction]) -> str:
-    return "N/A" if value is None else format_3dp(value)
-
-
 def _cells(row: GrowthRow) -> tuple[str, ...]:
     return (
         f"A{row.index}",
@@ -61,8 +51,8 @@ def _cells(row: GrowthRow) -> tuple[str, ...]:
         str(row.diff_card),
         str(row.card),
         str(row.diameter),
-        _ratio_text(row.card_ratio),
-        _ratio_text(row.diam_ratio),
+        format_density(row.card_ratio),
+        format_density(row.diam_ratio),
         format_density(row.density),
     )
 
@@ -70,7 +60,7 @@ def _cells(row: GrowthRow) -> tuple[str, ...]:
 def render_table(rows: Sequence[GrowthRow], format: str = "markdown") -> str:
     """Render growth rows as a markdown or csv table (deterministic bytes)."""
     if not rows:
-        raise EmptyRows("no rows to render")
+        raise ValueError("no rows to render")
     body = [_cells(r) for r in rows]
     if format == "csv":
         return "\n".join([CSV_HEADER] + [",".join(cells) for cells in body]) + "\n"

@@ -34,26 +34,6 @@ _BITSET_SPAN_LIMIT = 1 << 24
 _PAIR_LIMIT = 1 << 22
 
 
-class OverflowRisk(ValueError):
-    """Element magnitude too large to guarantee overflow-free sums."""
-
-
-class ZeroDilation(ValueError):
-    """Affine image with dilation factor 0 is not a set map; refused."""
-
-
-class EmptyProfile(ValueError):
-    """Profile statistics are undefined for the empty set."""
-
-
-class BadModulus(ValueError):
-    """Residue counting needs a modulus of at least 1."""
-
-
-class SetLiteralError(ValueError):
-    """Malformed set-literal text."""
-
-
 class SetClass(enum.Enum):
     MSTD = "MSTD"
     MDTS = "MDTS"
@@ -68,18 +48,18 @@ class IntSet:
 
     def __post_init__(self) -> None:
         el = self.elements
-        # C-level pass for the common case: a tuple of plain ints, strictly
-        # increasing, whose extremes are in bounds.  Anything else (int
-        # subclasses too) goes through the loop, which accepts or names the
-        # first fault.
-        if type(el) is tuple and (
-            not el
-            or (
-                set(map(type, el)) == {int}
-                and -SAFE_BOUND <= el[0]
-                and el[-1] <= SAFE_BOUND
-                and all(map(lt, el, islice(el, 1, None)))
+        if type(el) is not tuple:
+            raise TypeError(
+                f"IntSet stores a tuple, got {type(el).__name__}; use make_set for other iterables"
             )
+        # C-level pass for the common case: plain ints, strictly increasing,
+        # whose extremes are in bounds.  Anything else (int subclasses too)
+        # goes through the loop, which accepts or names the first fault.
+        if not el or (
+            set(map(type, el)) == {int}
+            and -SAFE_BOUND <= el[0]
+            and el[-1] <= SAFE_BOUND
+            and all(map(lt, el, islice(el, 1, None)))
         ):
             return
         _check_elements(el)
@@ -132,7 +112,7 @@ def _check_elements(elements: Iterable[int]) -> None:
         if not isinstance(v, int) or isinstance(v, bool):
             raise TypeError(f"set elements must be ints, got {v!r}")
         if abs(v) > SAFE_BOUND:
-            raise OverflowRisk(f"|{v}| exceeds the safe element bound 2**62-1")
+            raise ValueError(f"|{v}| exceeds the safe element bound 2**62-1")
         if prev is not None and v <= prev:
             raise ValueError("elements must be strictly increasing")
         prev = v
@@ -251,7 +231,7 @@ def diffset(A: IntSet) -> IntSet:
 def affine(A: IntSet, x: int, y: int) -> IntSet:
     """The image {x*a + y : a in A}; cardinality-preserving for x != 0."""
     if x == 0:
-        raise ZeroDilation("dilation factor must be nonzero")
+        raise ValueError("dilation factor must be nonzero")
     return make_set(x * a + y for a in A.elements)
 
 
@@ -293,7 +273,7 @@ class SumDiffProfile:
 def profile(A: IntSet) -> SumDiffProfile:
     """Full profile of a nonempty set."""
     if not A:
-        raise EmptyProfile("cannot profile the empty set")
+        raise ValueError("cannot profile the empty set")
     return SumDiffProfile(len(A), len(sumset(A)), len(diffset(A)), A.diameter)
 
 
@@ -309,7 +289,7 @@ def symmetry_point(A: IntSet) -> Optional[int]:
 def residue_count(A: IntSet, n: int) -> int:
     """Number of distinct residues of A modulo n (mathematical modulus)."""
     if n < 1:
-        raise BadModulus(f"modulus must be >= 1, got {n}")
+        raise ValueError(f"modulus must be >= 1, got {n}")
     return len({v % n for v in A.elements})
 
 
@@ -322,9 +302,10 @@ def format_3dp(value: Fraction) -> str:
     return f"{scaled // 1000}.{scaled % 1000:03d}"
 
 
-def format_density(density: Optional[Fraction]) -> str:
-    """3-decimal density, or N/A for the undefined density at diameter 0."""
-    return "N/A" if density is None else format_3dp(density)
+def format_density(value: Optional[Fraction]) -> str:
+    """An optional rational to 3 decimals, or N/A when it is undefined (None):
+    a density at diameter 0, or a ratio with no previous row."""
+    return "N/A" if value is None else format_3dp(value)
 
 
 _INT_TOKEN = re.compile(r"^-?\d+$")
@@ -339,7 +320,7 @@ def parse_set_literal(text: str) -> IntSet:
         return IntSet()
     # Every token holds at least one value, so count them before splitting.
     if body.count(",") >= _RANGE_LIMIT:
-        raise SetLiteralError(f"set literal holds more than {_RANGE_LIMIT} values")
+        raise ValueError(f"set literal holds more than {_RANGE_LIMIT} values")
     values: list[int] = []
     for token in body.split(","):
         tok = token.strip()
@@ -350,17 +331,17 @@ def parse_set_literal(text: str) -> IntSet:
         if m:
             a, b = int(m.group(1)), int(m.group(2))
             if a > b:
-                raise SetLiteralError(f"range {tok!r} needs its start <= end")
+                raise ValueError(f"range {tok!r} needs its start <= end")
             if b - a >= _RANGE_LIMIT:
-                raise SetLiteralError(f"range {tok!r} spans more than {_RANGE_LIMIT} values")
+                raise ValueError(f"range {tok!r} spans more than {_RANGE_LIMIT} values")
             if len(values) + b - a + 1 > _RANGE_LIMIT:
-                raise SetLiteralError(f"set literal holds more than {_RANGE_LIMIT} values")
+                raise ValueError(f"set literal holds more than {_RANGE_LIMIT} values")
             values.extend(range(a, b + 1))
             continue
-        raise SetLiteralError(f"bad set-literal token {tok!r}")
+        raise ValueError(f"bad set-literal token {tok!r}")
     # Single values after the last range are counted here, before dedupe.
     if len(values) > _RANGE_LIMIT:
-        raise SetLiteralError(f"set literal holds more than {_RANGE_LIMIT} values")
+        raise ValueError(f"set literal holds more than {_RANGE_LIMIT} values")
     return make_set(values)
 
 

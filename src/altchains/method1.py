@@ -18,22 +18,6 @@ from .chains import Chain, MethodTag, _grow
 from .intset import IntSet, SetClass, _class_from_counts, diffset, residue_count, sumset
 
 
-class NotMSTD(ValueError):
-    """The base set must be sum-dominated."""
-
-
-class MissingZero(ValueError):
-    """The base set must have 0 as its minimum element."""
-
-
-class ModulusTooSmall(ValueError):
-    """The modulus must exceed the base's maximum element."""
-
-
-class ConditionsFail(ValueError):
-    """The (base, modulus) pair fails an admissibility condition."""
-
-
 @dataclass(frozen=True)
 class Method1Params:
     """Counters behind the two admissibility conditions for (base, n).
@@ -60,17 +44,17 @@ class Method1Params:
 def _base_counts(A: IntSet) -> tuple[IntSet, IntSet]:
     """A+A and A-A of a valid base; raises if A is not one."""
     if not A or A.min != 0:
-        raise MissingZero("base must contain 0 as its minimum element")
+        raise ValueError("base must contain 0 as its minimum element")
     sums, diffs = sumset(A), diffset(A)
     if _class_from_counts(len(sums), len(diffs)) is not SetClass.MSTD:
-        raise NotMSTD("base must be sum-dominated")
+        raise ValueError("base must be sum-dominated")
     return sums, diffs
 
 
 def _evaluate(A: IntSet, n: int, sums: IntSet, diffs: IntSet) -> Method1Params:
     """Both conditions of modulus n, from the base's sums and differences."""
     if n <= A.max:
-        raise ModulusTooSmall(f"modulus must exceed max(base) = {A.max}, got {n}")
+        raise ValueError(f"modulus must exceed max(base) = {A.max}, got {n}")
     x = sum(1 for a in A if n + a not in sums)
     y = sum(1 for b in A if n - b not in diffs)
     sum_residues = residue_count(sums, n)
@@ -106,12 +90,12 @@ def generate_chain_m1(A: IntSet, n: int, steps: int) -> Chain:
     """Generate the first `steps` sets of the alternating chain for (A, n)."""
     params = analyze_modulus(A, n)
     if not params.cond1:
-        raise ConditionsFail(
+        raise ValueError(
             f"n={n}: sumset has {params.sum_residues} residues mod n but "
             f"diffset has {params.diff_residues}"
         )
     if not params.cond2:
-        raise ConditionsFail(
+        raise ValueError(
             f"n={n}: 2y-x-1 = {2 * params.y - params.x - 1} does not exceed "
             f"the sum-difference gap of the base"
         )

@@ -19,10 +19,6 @@ from .intset import IntSet, SumDiffProfile
 from .nathanson import NathansonParams
 
 
-class ConstraintViolation(ValueError):
-    """Parameters outside the m = 0 mod 4, d in {m/4, 3m/4} regime."""
-
-
 def build_a1_m2(params: NathansonParams) -> IntSet:
     """First chain member: the base with its symmetric fringe pair attached."""
     return generate_chain_m2(params, 1).set_at(1)
@@ -31,9 +27,9 @@ def build_a1_m2(params: NathansonParams) -> IntSet:
 def _first_member(params: NathansonParams) -> IntSet:
     m, d, k = params.m, params.d, params.k
     if m % 4 != 0:
-        raise ConstraintViolation(f"m must be divisible by 4, got {m}")
+        raise ValueError(f"m must be divisible by 4, got {m}")
     if d not in (m // 4, 3 * m // 4):
-        raise ConstraintViolation(f"d must be m/4 or 3m/4, got d={d} for m={m}")
+        raise ValueError(f"d must be m/4 or 3m/4, got d={d} for m={m}")
     return params.A.union([-d, (k + 1) * m - d])
 
 

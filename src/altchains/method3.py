@@ -23,10 +23,6 @@ CORE_ELEMENTS = (-7, 0, 5, 8, 15)
 EXCLUDED = frozenset((-9, 1, 2, 6, 7, 17))
 
 
-class PhaseUnsupported(ValueError):
-    """Delta counting only applies to the single-element top appends."""
-
-
 def phase1_set(k: int) -> IntSet:
     """The block-k phase-1 member from its compact description."""
     prog = (5 * l + delta for l in range(-k - 5, k + 7) for delta in (1, 2))
@@ -63,7 +59,7 @@ def delta_counts(i: int) -> tuple[int, int]:
     """
     phase = (i - 1) % 4 + 1
     if phase not in (2, 4):
-        raise PhaseUnsupported(
+        raise ValueError(
             f"delta counting applies to phases 2 and 4; index {i} is phase {phase}"
         )
     cur, prev = set_m3(i), set_m3(i - 1)

@@ -28,10 +28,6 @@ from .intset import (
 )
 
 
-class BadParams(ValueError):
-    """Parameter combination outside the construction's guarantees."""
-
-
 @dataclass(frozen=True)
 class NathansonParams:
     """Validated (m, d, k) bundle with all derived sets populated."""
@@ -54,14 +50,14 @@ def k_min(m: int, d: int) -> int:
 def build_base(m: int, d: int, k: int) -> NathansonParams:
     """Construct and self-check the MSTD base set for (m, d, k)."""
     if m < 4:
-        raise BadParams(f"m must be >= 4, got {m}")
+        raise ValueError(f"m must be >= 4, got {m}")
     if not 1 <= d <= m - 1:
-        raise BadParams(f"d must lie in [1, {m - 1}], got {d}")
+        raise ValueError(f"d must lie in [1, {m - 1}], got {d}")
     if 2 * d == m:
-        raise BadParams(f"d = m/2 is excluded (d={d}, m={m})")
+        raise ValueError(f"d = m/2 is excluded (d={d}, m={m})")
     least = k_min(m, d)
     if k < least:
-        raise BadParams(f"k must be >= {least} when d {'<' if least == 3 else '>'} m/2, got {k}")
+        raise ValueError(f"k must be >= {least} when d {'<' if least == 3 else '>'} m/2, got {k}")
 
     B = interval(0, m - 1).without(d)
     L = make_set(j * m - d for j in range(1, k + 1))
@@ -83,8 +79,8 @@ def build_base(m: int, d: int, k: int) -> NathansonParams:
 def check_interval_lemma(m: int, r: int) -> bool:
     """Whether [0,m-1] minus {r} has full interval sumset and diffset."""
     if m < 4:
-        raise BadParams(f"m must be >= 4, got {m}")
+        raise ValueError(f"m must be >= 4, got {m}")
     if not 2 <= r <= m - 3:
-        raise BadParams(f"r must lie in [2, {m - 3}], got {r}")
+        raise ValueError(f"r must lie in [2, {m - 3}], got {r}")
     B = interval(0, m - 1).without(r)
     return sumset(B) == interval(0, 2 * m - 2) and diffset(B) == interval(-(m - 1), m - 1)

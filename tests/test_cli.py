@@ -1,4 +1,6 @@
+import importlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +13,6 @@ import altchains.cli
 import altchains.intset
 from altchains import MethodTag, generate_chain_m1
 from altchains.cli import (
-    EmptyRows,
     chain_to_text,
     main,
     parse_chain_text,
@@ -162,7 +163,7 @@ class TestTable:
 
 class TestRenderTable:
     def test_empty_rows_rejected(self):
-        with pytest.raises(EmptyRows):
+        with pytest.raises(ValueError, match="no rows to render"):
             render_table([])
 
     def test_one_row_csv(self, conway):
@@ -301,12 +302,30 @@ class TestScanParams:
 
 REPO = Path(__file__).resolve().parents[1]
 
+# The benchmark's set-up, twelve times over: drop every altchains module,
+# import the package and its CLI afresh (from byte code after the first pass),
+# and build and check a chain with it.
+SET_UP_SCRIPT = """
+import importlib, sys, tempfile
+from array import array
+with tempfile.TemporaryDirectory() as prefix:
+    sys.pycache_prefix = prefix
+    sys.dont_write_bytecode = False
+    for _ in range(12):
+        for name in [n for n in sys.modules if n == "altchains" or n.startswith("altchains.")]:
+            del sys.modules[name]
+        ac = importlib.import_module("altchains")
+        importlib.import_module("altchains.cli")
+        A = ac.make_set(array("q", (0, 2, 3, 4, 7, 11, 12, 14)))
+        assert ac.validate_chain(ac.generate_chain_m1(A, 17, 11)).ok
+"""
+
 
 class TestPublicSurface:
     """The README example and the module entry point, in a fresh interpreter."""
 
-    def _run(self, args, tmp_path):
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    def _run(self, args, tmp_path, **env_vars):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), **env_vars}
         return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
                               capture_output=True, text=True, timeout=60)
 
@@ -320,6 +339,22 @@ class TestPublicSurface:
         proc = self._run(["-m", "altchains.cli", "classify", "--set=0,2,3,4,7,11,12,14"],
                          tmp_path)
         assert (proc.returncode, proc.stdout) == (0, "MSTD 26 25\n"), proc.stderr
+
+    @pytest.mark.parametrize("seed", ["0", "1", "12345"])
+    def test_repeated_fresh_imports(self, tmp_path, seed):
+        proc = self._run(["-c", SET_UP_SCRIPT], tmp_path, PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_installed_entry_point(self, monkeypatch, capsys):
+        # What `pip install .` puts on PATH as `altchains`: the target named
+        # under [project.scripts], called with no arguments.
+        text = (REPO / "pyproject.toml").read_text()
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        module, attr = re.search(r'^altchains = "([\w.]+):(\w+)"$', scripts, re.M).groups()
+        entry = getattr(importlib.import_module(module), attr)
+        monkeypatch.setattr(sys, "argv", ["altchains", "classify", "--set", "0,2,3,4,7,11,12,14"])
+        assert entry() == 0
+        assert capsys.readouterr().out == "MSTD 26 25\n"
 
     @pytest.mark.parametrize(
         "args, head",

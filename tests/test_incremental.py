@@ -198,7 +198,8 @@ class TestStarIdentities:
 class TestWideHull:
     # Every member of the dilated 7-step method-2 chain spans more than 2**24,
     # so the kernel takes its hash path on each.  (At 2**20 the first member
-    # spans exactly 2**24 and the kernel still packs it into a bitset.)
+    # spans exactly 2**24 and hashes too, since its 10**2 pairs are fewer than
+    # its diameter: test_intset.py::test_diameter_at_the_span_cut_hashes.)
     SCALE = 2**21
 
     def test_dilated_chain_keeps_profiles(self):

@@ -2,7 +2,6 @@ import pytest
 
 from altchains import (
     Chain,
-    ConstraintViolation,
     MethodTag,
     SetClass,
     affine,
@@ -41,11 +40,11 @@ class TestBuildA1:
         assert a1 == make_set([-1, 0, 2, 3, 4, 7, 11, 12, 14, 15])
 
     def test_m_not_divisible_by_4(self):
-        with pytest.raises(ConstraintViolation, match="divisible by 4"):
+        with pytest.raises(ValueError, match="m must be divisible by 4, got 6"):
             build_a1_m2(build_base(6, 1, 3))
 
     def test_d_outside_quarters(self):
-        with pytest.raises(ConstraintViolation, match="m/4"):
+        with pytest.raises(ValueError, match="d must be m/4 or 3m/4, got d=1 for m=8"):
             build_a1_m2(build_base(8, 1, 3))
 
 

@@ -1,7 +1,6 @@
 import pytest
 
 from altchains import (
-    PhaseUnsupported,
     SetClass,
     affine,
     delta_counts,
@@ -114,7 +113,8 @@ class TestDeltaCounts:
 
     @pytest.mark.parametrize("i", [1, 3, 5, 7])
     def test_unsupported_phases(self, i):
-        with pytest.raises(PhaseUnsupported):
+        phase = (i - 1) % 4 + 1
+        with pytest.raises(ValueError, match=f"phases 2 and 4; index {i} is phase {phase}"):
             delta_counts(i)
 
 

@@ -3,7 +3,6 @@ import pytest
 import altchains.intset
 import altchains.nathanson
 from altchains import (
-    BadParams,
     SetClass,
     affine,
     build_base,
@@ -36,17 +35,26 @@ class TestBuildBase:
         assert p.A == conway
 
     def test_d_half_m_rejected(self):
-        with pytest.raises(BadParams, match="m/2"):
+        with pytest.raises(ValueError, match=r"d = m/2 is excluded \(d=2, m=4\)"):
             build_base(4, 2, 3)
 
     def test_large_d_needs_larger_k(self):
-        with pytest.raises(BadParams, match="k"):
+        with pytest.raises(ValueError, match="k must be >= 4 when d > m/2, got 3"):
             build_base(8, 6, 3)
         build_base(8, 6, 4)
 
-    @pytest.mark.parametrize("m, d, k", [(3, 1, 3), (4, 0, 3), (4, 4, 3), (5, 1, 2)])
-    def test_out_of_range(self, m, d, k):
-        with pytest.raises(BadParams):
+    @pytest.mark.parametrize(
+        "m, d, k, fault",
+        [
+            (3, 1, 3, "m must be >= 4, got 3"),
+            (4, 0, 3, r"d must lie in \[1, 3\], got 0"),
+            (4, 4, 3, r"d must lie in \[1, 3\], got 4"),
+            (5, 1, 2, "k must be >= 3 when d < m/2, got 2"),
+        ],
+        ids=["3-1-3", "4-0-3", "4-4-3", "5-1-2"],
+    )
+    def test_out_of_range(self, m, d, k, fault):
+        with pytest.raises(ValueError, match=fault):
             build_base(m, d, k)
 
     def test_two_m_is_a_fresh_sum(self, conway_params):
@@ -84,11 +92,11 @@ class TestIntervalLemma:
         assert check_interval_lemma(20, 10) is True
 
     def test_r_out_of_range(self):
-        with pytest.raises(BadParams):
+        with pytest.raises(ValueError, match=r"r must lie in \[2, 1\], got 2"):
             check_interval_lemma(4, 2)
 
     def test_m_out_of_range(self):
-        with pytest.raises(BadParams):
+        with pytest.raises(ValueError, match="m must be >= 4, got 3"):
             check_interval_lemma(3, 2)
 
     def test_lemma_statement_directly(self):
