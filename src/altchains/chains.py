@@ -28,6 +28,7 @@ from .intset import (
 
 Witness = Union[int, tuple[int, int], None]
 Failure = tuple[int, str, Witness]
+Appends = Optional[tuple[int, ...]]
 
 class MethodTag(enum.Enum):
     METHOD1 = "Method1"
@@ -36,15 +37,13 @@ class MethodTag(enum.Enum):
     EXTERNAL = "External"
 
 
-def _appended(prev: IntSet, cur: IntSet) -> Optional[tuple[int, ...]]:
-    """The elements `cur` adds outside the hull of `prev`, or None.
+def _appended(prev: IntSet, cur: IntSet) -> Appends:
+    """The elements `cur` adds outside the hull of nonempty `prev`, or None.
 
     Not None exactly when prev is a proper subset of cur and no element of cur
     falls inside [min(prev), max(prev)] without being in prev: then prev sits
     in cur as one contiguous run, and cur adds only elements below and above.
     """
-    if not prev:
-        return None
     old, new, n = prev.elements, cur.elements, len(prev)
     i = bisect_left(new, old[0])
     if len(new) > n and new[i : i + n] == old:
@@ -57,21 +56,18 @@ class _Masks:
 
     For x in [lo, hi], bit x-lo of `elems` and bit hi-x of `mirror` mark x in
     the set; bit s-2lo of `sums` marks the sum s and bit t+(hi-lo) of `diffs`
-    marks the difference t.  A set that does not append to the previous one
-    takes its sums and differences from the kernel; a set that appends costs
-    one shift-OR per mask for each new element, whatever the set's size.
+    marks the difference t.  Moving to a set that adds known elements to the
+    current one costs one shift-OR per mask for each of them, whatever the
+    set's size; any other set takes its sums and differences from the kernel.
     """
 
     def __init__(self, lo: int, hi: int) -> None:
         self.lo, self.hi = lo, hi
         self.elems = self.mirror = self.sums = self.diffs = 0
-        self.current = IntSet()
 
-    def advance(self, cur: IntSet) -> None:
-        """Move to `cur`: add what it appends, or rebuild from it otherwise."""
+    def advance(self, cur: IntSet, new: Optional[Sequence[int]]) -> None:
+        """Move to `cur` by adding `new` to the current set, or rebuild from `cur` if None."""
         lo, hi = self.lo, self.hi
-        new = _appended(self.current, cur)
-        self.current = cur
         if new is None:
             self.elems = _packed(cur.elements, lo)
             self.mirror = _packed(map(hi.__sub__, cur.elements), 0)
@@ -113,7 +109,7 @@ class _Kernel:
     """The `_Masks` interface, with each set's sums and differences computed
     afresh by the kernel: for hulls past the bitset cut, where it hashes."""
 
-    def advance(self, cur: IntSet) -> None:
+    def advance(self, cur: IntSet, new: Optional[Sequence[int]]) -> None:
         self.current, self.sums, self.diffs = cur, sumset(cur), diffset(cur)
 
     def counts(self) -> tuple[int, int]:
@@ -134,18 +130,6 @@ def _accumulator(sets: Sequence[IntSet]) -> Union[_Masks, _Kernel]:
     return _Masks(lo, hi) if hi - lo <= _BITSET_SPAN_LIMIT else _Kernel()
 
 
-def _chain_profiles(members: Sequence[IntSet]) -> tuple[SumDiffProfile, ...]:
-    """Profiles of every member, grown from the previous member where it appends."""
-    if not all(members):
-        raise ValueError("cannot profile the empty set")
-    acc = _accumulator(members)
-    profiles = []
-    for s in members:
-        acc.advance(s)
-        profiles.append(SumDiffProfile(len(s), *acc.counts(), s.diameter))
-    return tuple(profiles)
-
-
 @dataclass(frozen=True)
 class Chain:
     """Indexed (1-based) sequence of sets with per-index profiles."""
@@ -153,13 +137,25 @@ class Chain:
     sets: tuple[IntSet, ...]
     method_tag: MethodTag
     profiles: tuple[SumDiffProfile, ...]
+    # What each member appends to the one before it (_appended); None for the
+    # first member and for every member that does not append.
+    appends: tuple[Appends, ...]
 
     @classmethod
     def from_sets(cls, sets: Iterable[IntSet], method_tag: MethodTag) -> "Chain":
         members = tuple(sets)
         if not members:
             raise ValueError("a chain needs at least one set")
-        return cls(sets=members, method_tag=method_tag, profiles=_chain_profiles(members))
+        if not all(members):
+            raise ValueError("cannot profile the empty set")
+        appends = (None, *map(_appended, members, members[1:]))
+        # Each member's profile grows from the previous one's where it appends.
+        acc = _accumulator(members)
+        profiles = []
+        for s, new in zip(members, appends):
+            acc.advance(s, new)
+            profiles.append(SumDiffProfile(len(s), *acc.counts(), s.diameter))
+        return cls(members, method_tag, tuple(profiles), appends)
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -208,17 +204,14 @@ class ValidationReport:
     """Verdict of a chain check; ok iff no failures were recorded."""
 
     failures: tuple[Failure, ...]
-    notes: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     @classmethod
-    def from_failures(
-        cls, failures: Iterable[Failure], notes: Iterable[str] = ()
-    ) -> "ValidationReport":
-        return cls(tuple(failures), tuple(notes))
+    def from_failures(cls, failures: Iterable[Failure]) -> "ValidationReport":
+        return cls(tuple(failures))
 
 
 def validate_chain(chain: Chain) -> ValidationReport:
@@ -235,9 +228,9 @@ def validate_chain(chain: Chain) -> ValidationReport:
             failures.append((i, "alternation", (p.sum_card, p.diff_card)))
 
     for i in range(1, len(chain.sets)):
-        prev, cur = chain.sets[i - 1], chain.sets[i]
-        if _appended(prev, cur) is not None:
+        if chain.appends[i] is not None:
             continue
+        prev, cur = chain.sets[i - 1], chain.sets[i]
         missing = [v for v in prev if v not in cur]
         if missing or len(cur) == len(prev):
             failures.append((i + 1, "strict-inclusion", missing[0] if missing else None))
@@ -264,9 +257,7 @@ def growth_table(chain: Chain) -> tuple[GrowthRow, ...]:
     prev: Optional[SumDiffProfile] = None
     for i, p in enumerate(chain.profiles, start=1):
         card_ratio = Fraction(p.card, prev.card) if prev else None
-        diam_ratio = None
-        if prev is not None and prev.diameter > 0:
-            diam_ratio = Fraction(p.diameter, prev.diameter)
+        diam_ratio = Fraction(p.diameter, prev.diameter) if prev and prev.diameter else None
         rows.append(
             GrowthRow(p.card, p.sum_card, p.diff_card, p.diameter, i, card_ratio, diam_ratio)
         )
@@ -274,13 +265,9 @@ def growth_table(chain: Chain) -> tuple[GrowthRow, ...]:
     return tuple(rows)
 
 
-def _mstd_positions(chain: Chain) -> list[int]:
-    return [i for i, p in enumerate(chain.profiles, start=1) if p.set_class is SetClass.MSTD]
-
-
 def growth_rates(chain: Chain) -> tuple[Fraction, Fraction]:
     """Average cardinality and diameter deltas between consecutive MSTD sets."""
-    positions = _mstd_positions(chain)
+    positions = [i for i, p in enumerate(chain.profiles, start=1) if p.set_class is SetClass.MSTD]
     if len(positions) < 3:
         raise ValueError("growth rates need a chain with at least 3 MSTD sets")
     first, last = chain.profiles[positions[0] - 1], chain.profiles[positions[-1] - 1]

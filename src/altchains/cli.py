@@ -27,7 +27,7 @@ from .intset import (
 from .method1 import generate_chain_m1, search_moduli
 from .method2 import generate_chain_m2
 from .method3 import generate_chain_m3
-from .nathanson import build_base, k_min
+from .nathanson import build_base, k_min, size_bound
 
 MARKDOWN_HEADER = (
     "Set",
@@ -190,15 +190,22 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_scan_params(args: argparse.Namespace) -> int:
     if args.method != 2:
         raise ValueError("only --method 2 supports parameter scanning")
+    # The sweep is refused before any base is built, as a long chain is.
+    grid, total = [], 0
     for m in range(4, args.max_m + 1, 4):
         for d in (m // 4, 3 * m // 4):
             for k in range(k_min(m, d), args.max_k + 1):
-                # The one-member chain profiles A1 once and self-checks it.
-                p = generate_chain_m2(build_base(m, d, k), 1).profiles[0]
-                print(
-                    f"m={m} d={d} k={k} sumcard={p.sum_card} "
-                    f"diffcard={p.diff_card} card={p.card} diameter={p.diameter}"
-                )
+                total += size_bound(m, k)
+                if total > _RANGE_LIMIT:
+                    raise ValueError(f"bases to scan could hold more than {_RANGE_LIMIT} elements")
+                grid.append((m, d, k))
+    for m, d, k in grid:
+        # The one-member chain profiles A1 once and self-checks it.
+        p = generate_chain_m2(build_base(m, d, k), 1).profiles[0]
+        print(
+            f"m={m} d={d} k={k} sumcard={p.sum_card} "
+            f"diffcard={p.diff_card} card={p.card} diameter={p.diameter}"
+        )
     return 0
 
 

@@ -79,11 +79,14 @@ def analyze_modulus(A: IntSet, n: int) -> Method1Params:
 def search_moduli(A: IntSet) -> list[int]:
     """All admissible moduli in (max A, 2*max A], ascending.
 
-    Above 2*max A the first condition cannot hold (no residues collide), so
-    the search range is complete.
+    Let M = max A, S = A+A, D = A-A and n > M.  A residue class mod n holds
+    at most two sums (s, s+n) and two differences, so the first condition
+    reads |S| - #{s : s+n in S} = |D| - #{t : t+n in D}.  As |S| > |D| for an
+    MSTD base, it needs s and s+n in S: only n in S-S is tried, however wide A.
     """
     sums, diffs = _base_counts(A)
-    return [n for n in range(A.max + 1, 2 * A.max + 1) if _evaluate(A, n, sums, diffs).valid]
+    candidates = diffset(sums).within(A.max + 1, 2 * A.max)
+    return [n for n in candidates if _evaluate(A, n, sums, diffs).valid]
 
 
 def generate_chain_m1(A: IntSet, n: int, steps: int) -> Chain:

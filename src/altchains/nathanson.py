@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intset import (
+    _RANGE_LIMIT,
     IntSet,
     SetClass,
     _class_from_counts,
@@ -47,8 +48,14 @@ def k_min(m: int, d: int) -> int:
     return 3 if 2 * d < m else 4
 
 
+def size_bound(m: int, k: int) -> int:
+    """The most elements an (m, d, k) base holds: 2(m-1) + k + 1."""
+    return 2 * (m - 1) + k + 1
+
+
 def build_base(m: int, d: int, k: int) -> NathansonParams:
-    """Construct and self-check the MSTD base set for (m, d, k)."""
+    """Construct and self-check the MSTD base set for (m, d, k); refuse,
+    before building it, one that could hold more than _RANGE_LIMIT elements."""
     if m < 4:
         raise ValueError(f"m must be >= 4, got {m}")
     if not 1 <= d <= m - 1:
@@ -58,6 +65,8 @@ def build_base(m: int, d: int, k: int) -> NathansonParams:
     least = k_min(m, d)
     if k < least:
         raise ValueError(f"k must be >= {least} when d {'<' if least == 3 else '>'} m/2, got {k}")
+    if size_bound(m, k) > _RANGE_LIMIT:
+        raise ValueError(f"a base for m={m}, k={k} could hold more than {_RANGE_LIMIT} elements")
 
     B = interval(0, m - 1).without(d)
     L = make_set(j * m - d for j in range(1, k + 1))

@@ -17,6 +17,17 @@ def naive_diffset(values) -> set[int]:
     return {a - b for a in vals for b in vals}
 
 
+def valid_param_triples(max_m, max_k):
+    """Every (m, d, k) that build_base accepts, up to max_m and max_k."""
+    for m in range(4, max_m + 1):
+        for d in range(1, m):
+            if 2 * d == m:
+                continue
+            k_min = 3 if 2 * d < m else 4
+            for k in range(k_min, max_k + 1):
+                yield m, d, k
+
+
 def spot_check_no_fill(chain: Chain, pairs: int = 20, seed: int = 0) -> bool:
     """Directly test (A_n minus A_k) against hull(A_k) on random index pairs."""
     rng = random.Random(seed)

@@ -11,6 +11,7 @@ import pytest
 import altchains.chains
 import altchains.cli
 import altchains.intset
+import altchains.nathanson
 from altchains import MethodTag, generate_chain_m1
 from altchains.cli import (
     chain_to_text,
@@ -298,6 +299,26 @@ class TestScanParams:
 
     def test_only_method2_supported(self, capsys):
         assert main(["scan-params", "--method", "1"]) == 2
+
+    def test_sweep_bounded_before_building(self, capsys, monkeypatch):
+        # Bases of m = 4 and 8 with k <= 4 could hold 10+11+11 + 18+19+19 = 88
+        # elements; m = 12 adds 26 more.
+        monkeypatch.setattr(altchains.cli, "_RANGE_LIMIT", 100)
+        assert main(["scan-params", "--method", "2", "--max-m", "8", "--max-k", "4"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
+        assert main(["scan-params", "--method", "2", "--max-m", "12", "--max-k", "4"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: bases to scan could hold more than 100 elements\n")
+
+    @pytest.mark.parametrize("mdk", [("400", "100", "3"), ("4", "1", "1000")])
+    def test_method2_base_bounded(self, capsys, monkeypatch, mdk):
+        monkeypatch.setattr(altchains.nathanson, "_RANGE_LIMIT", 100)
+        m, d, k = mdk
+        args = ["chain", "--method", "2", "--m", m, "--d", d, "--k", k, "--steps", "3"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: a base for m={m}, k={k} could hold more than 100 elements\n"
+        )
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -1,8 +1,9 @@
 """Differential tests: incremental chain profiles and checks against from-scratch ones.
 
-`Chain.from_sets`, `validate_chain` and `verify_star_identities` grow each
-member's sum and difference masks from the previous member's when it only
-appends outside the previous hull.  Every test here compares that path with a
+`Chain.from_sets` finds once which members only append outside the previous
+hull (`Chain.appends`).  The chain's profiles and `verify_star_identities`
+grow such a member's sum and difference masks from the previous member's, and
+`validate_chain` passes it.  Every test here compares that path with a
 reference that does not use it: `profile()` per member, a naive pairwise chain
 check, or the double-loop oracles in conftest.
 """
@@ -87,6 +88,18 @@ def assert_profiles_from_scratch(chain: Chain) -> None:
     assert chain.profiles == tuple(profile(s) for s in chain.sets)
 
 
+def naive_appends(chain: Chain) -> list:
+    """Per member, its new elements if it strictly contains the previous member
+    and fills none of its holes; None for the first member and otherwise."""
+    appends = [None]
+    for prev, cur in zip(chain.sets, chain.sets[1:]):
+        prev, cur = set(prev), set(cur)
+        new = sorted(cur - prev)
+        nested = prev < cur and not any(min(prev) <= v <= max(prev) for v in new)
+        appends.append(tuple(new) if nested else None)
+    return appends
+
+
 @st.composite
 def nested_chains(draw):
     """Member lists where each member appends below, above or both at once."""
@@ -140,6 +153,20 @@ class TestGeneratedChains:
         Chain.from_sets(sets, MethodTag.EXTERNAL)
         assert seeded == [sets[0], sets[20]]
 
+    def test_nesting_found_once(self, monkeypatch):
+        # Profiling, validation and the star check all read chain.appends, and
+        # the star check seeds only the first core from the kernel.
+        calls, seeded = [], []
+        appended = chains._appended
+        monkeypatch.setattr(chains, "_appended", lambda *pair: calls.append(1) or appended(*pair))
+        params = build_base(8, 2, 3)
+        chain = generate_chain_m2(params, 41)
+        monkeypatch.setattr(chains, "sumset", lambda A: seeded.append(A) or sumset(A))
+        assert validate_chain(chain).ok
+        assert verify_star_identities(params, chain).ok
+        assert len(calls) == len(chain) - 1
+        assert seeded == [chain.set_at(1).without(params.m)]
+
 
 class TestNestedChains:
     @given(nested_chains())
@@ -147,6 +174,7 @@ class TestNestedChains:
     def test_appends_below_and_above(self, members):
         chain = Chain.from_sets([make_set(m) for m in members], MethodTag.EXTERNAL)
         assert_profiles_from_scratch(chain)
+        assert list(chain.appends) == naive_appends(chain)
         assert list(validate_chain(chain).failures) == naive_failures(chain)
 
     @given(st.data())
@@ -155,6 +183,7 @@ class TestNestedChains:
         members = corrupt(data.draw, data.draw(nested_chains()))
         chain = Chain.from_sets([make_set(m) for m in members], MethodTag.EXTERNAL)
         assert_profiles_from_scratch(chain)
+        assert list(chain.appends) == naive_appends(chain)
         assert list(validate_chain(chain).failures) == naive_failures(chain)
 
     def test_each_break_reported(self):
@@ -192,6 +221,16 @@ class TestStarIdentities:
                                 MethodTag.METHOD2)
         failures = verify_star_identities(params, chain).failures
         assert (1, "star-diff-cover", -12) in failures
+        assert list(failures) == naive_star_failures(params.m, chain)
+
+    def test_appended_m_stays_out_of_the_cores(self):
+        # Member 2 appends m = 4 below the first hull: the core of member 3
+        # is the first core plus 40 alone.
+        params = build_base(4, 1, 3)
+        members = [[10, 16, 30], [4, 10, 16, 30], [4, 10, 16, 30, 40]]
+        chain = Chain.from_sets([make_set(s) for s in members], MethodTag.METHOD2)
+        assert chain.appends == (None, (4,), (40,))
+        failures = verify_star_identities(params, chain).failures
         assert list(failures) == naive_star_failures(params.m, chain)
 
 

@@ -1,19 +1,26 @@
+import time
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import altchains.chains
 import altchains.intset
 import altchains.method1
 from altchains import (
+    CONWAY_SET,
     SetClass,
     affine,
     analyze_modulus,
+    build_base,
+    classify,
     generate_chain_m1,
     make_set,
     residue_count,
     search_moduli,
 )
 
-from conftest import naive_diffset, naive_sumset
+from conftest import naive_diffset, naive_sumset, valid_param_triples
 
 # columns: sums, diffs, cardinality, diameter
 TABLE_1 = [
@@ -110,9 +117,45 @@ class TestOneKernelPass:
             assert p.cond2 == (2 * y - x - 1 > len(sums) - len(diffs))
 
 
+def range_loop_moduli(A):
+    """The modulus search as it was before it took its candidates from S-S:
+    one evaluation for every n in (max A, 2 max A]."""
+    sums, diffs = altchains.method1._base_counts(A)
+    evaluate = altchains.method1._evaluate
+    candidates = range(A.max + 1, 2 * A.max + 1)
+    return [n for n in candidates if evaluate(A, n, sums, diffs).valid]
+
+
+@st.composite
+def mstd_bases(draw):
+    """MSTD sets with min 0: a Nathanson base, dilated, plus a few inner elements."""
+    params = draw(st.sampled_from([(4, 1, 3), (4, 3, 4), (8, 2, 3), (8, 6, 5), (12, 9, 4)]))
+    A = affine(build_base(*params).A, draw(st.integers(1, 4)), 0)
+    A = A.union(draw(st.sets(st.integers(1, A.max - 1), max_size=4)))
+    assume(classify(A) is SetClass.MSTD)
+    return A
+
+
 class TestSearchModuli:
     def test_conway(self, conway):
         assert search_moduli(conway) == [17, 18, 20]
+
+    def test_matches_range_loop_on_every_base(self):
+        bases = [CONWAY_SET] + [build_base(*p).A for p in valid_param_triples(16, 6)]
+        for A in bases:
+            assert search_moduli(A) == range_loop_moduli(A), A
+
+    @given(mstd_bases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_range_loop(self, A):
+        assert search_moduli(A) == range_loop_moduli(A)
+
+    def test_dilated_conway_answers_at_once(self):
+        # 1.4 * 10**9 moduli lie in (max A, 2 max A]; only S-S is tried.
+        began = time.perf_counter()
+        moduli = search_moduli(affine(CONWAY_SET, 10**8, 0))
+        assert moduli == [17 * 10**8, 18 * 10**8, 20 * 10**8]
+        assert time.perf_counter() - began < 1
 
     def test_range_is_capped_at_twice_max(self, conway):
         assert all(n <= 2 * conway.max for n in search_moduli(conway))

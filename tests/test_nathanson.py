@@ -14,15 +14,7 @@ from altchains import (
     symmetry_point,
 )
 
-
-def valid_param_triples(max_m, max_k):
-    for m in range(4, max_m + 1):
-        for d in range(1, m):
-            if 2 * d == m:
-                continue
-            k_min = 3 if 2 * d < m else 4
-            for k in range(k_min, max_k + 1):
-                yield m, d, k
+from conftest import valid_param_triples
 
 
 class TestBuildBase:
@@ -56,6 +48,28 @@ class TestBuildBase:
     def test_out_of_range(self, m, d, k, fault):
         with pytest.raises(ValueError, match=fault):
             build_base(m, d, k)
+
+    def test_size_refused_before_building(self, monkeypatch):
+        # (4, 1, 3) holds at most 2*3 + 3 + 1 = 10 elements (the Conway set
+        # has 8); k = 4 could hold 11.
+        monkeypatch.setattr(altchains.nathanson, "_RANGE_LIMIT", 10)
+        built = []
+        monkeypatch.setattr(
+            altchains.nathanson, "interval", lambda *a: built.append(a) or interval(*a)
+        )
+        assert build_base(4, 1, 3).A == make_set([0, 2, 3, 4, 7, 11, 12, 14])
+        assert built == [(0, 3)]
+        built.clear()
+        for m, d, k in [(4, 1, 4), (400, 100, 3), (4, 1, 1000)]:
+            fault = f"a base for m={m}, k={k} could hold more than 10 elements"
+            with pytest.raises(ValueError, match=fault):
+                build_base(m, d, k)
+        assert built == []
+        # Parameter faults are still named first.
+        with pytest.raises(ValueError, match="m must be >= 4, got 3"):
+            build_base(3, 1, 10**9)
+        with pytest.raises(ValueError, match="k must be >= 3 when d < m/2, got 2"):
+            build_base(4 * 10**8, 10**8, 2)
 
     def test_two_m_is_a_fresh_sum(self, conway_params):
         p = conway_params
