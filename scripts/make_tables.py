@@ -10,7 +10,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from altchains import build_base, format_3dp, growth_rates, growth_table, profile  # noqa: E402
+from altchains import build_base, format_density, growth_rates, growth_table, profile  # noqa: E402
 from altchains.cli import paper_chain, render_table  # noqa: E402
 
 TITLES = (
@@ -31,7 +31,7 @@ def main() -> None:
         print(render_table(growth_table(chain), args.format), end="")
         card_rate, diam_rate = growth_rates(chain)
         limit = card_rate / diam_rate
-        print(f"limiting MSTD density: {format_3dp(limit)} ({limit})")
+        print(f"limiting MSTD density: {format_density(limit)} ({limit})")
         print()
 
     print("## Growth between consecutive MSTD members")

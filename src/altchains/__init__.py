@@ -18,7 +18,6 @@ from .intset import (
     affine,
     classify,
     diffset,
-    format_3dp,
     format_density,
     format_set_literal,
     interval,
@@ -27,7 +26,6 @@ from .intset import (
     profile,
     residue_count,
     sumset,
-    symmetry_point,
 )
 from .method1 import (
     Method1Params,
@@ -36,8 +34,6 @@ from .method1 import (
     search_moduli,
 )
 from .method2 import (
-    append_schedule,
-    build_a1_m2,
     generate_chain_m2,
     verify_star_identities,
 )

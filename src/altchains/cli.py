@@ -190,6 +190,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_scan_params(args: argparse.Namespace) -> int:
     if args.method != 2:
         raise ValueError("only --method 2 supports parameter scanning")
+    if args.max_k < 3:
+        return 0  # k_min is 3 or 4, so no base qualifies, whatever --max-m says
     # The sweep is refused before any base is built, as a long chain is.
     grid, total = [], 0
     for m in range(4, args.max_m + 1, 4):

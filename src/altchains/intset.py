@@ -33,6 +33,9 @@ _BITSET_SPAN_LIMIT = 1 << 24
 # within the limit and leaves the rest to the bitset path.
 _PAIR_LIMIT = 1 << 22
 
+# The bitset path shifts a (diameter+1)-bit mask |A| times; it refuses more.
+_BITSET_WORK_LIMIT = 1 << 36
+
 
 class SetClass(enum.Enum):
     MSTD = "MSTD"
@@ -170,21 +173,29 @@ def _unpack(mask: int, base: int) -> tuple[int, ...]:
     return tuple(compress(range(base, base + len(flags)), flags))
 
 
-def _takes_hash_path(A: IntSet) -> bool:
+def _takes_hash_path(A: IntSet, name: str = "A") -> bool:
     """Whether the kernel hashes A's pairs rather than packing a bitset.
 
     Past the span cut it must, and refuses more than _PAIR_LIMIT pairs.
-    Below it, hashing wins when the pairs number fewer than the diameter.
+    Below it, hashing wins when the pairs number fewer than the diameter, and
+    the bitset path refuses past _BITSET_WORK_LIMIT.  Refusals call A `name`.
     """
     n2 = len(A) * len(A)
     if A.diameter > _BITSET_SPAN_LIMIT:
         if n2 > _PAIR_LIMIT:
             raise ValueError(
-                f"|A| = {len(A)} is too large for a set of diameter above "
+                f"|{name}| = {len(A)} is too large for a set of diameter above "
                 f"{_BITSET_SPAN_LIMIT}: its {n2} pairs exceed the limit of {_PAIR_LIMIT}"
             )
         return True
-    return n2 < A.diameter and n2 <= _PAIR_LIMIT
+    if n2 < A.diameter and n2 <= _PAIR_LIMIT:
+        return True
+    if len(A) * (A.diameter + 1) > _BITSET_WORK_LIMIT:
+        raise ValueError(
+            f"|{name}| = {len(A)} is too large for a set of diameter {A.diameter}: "
+            f"|{name}|*(diameter+1) exceeds the limit of {_BITSET_WORK_LIMIT}"
+        )
+    return False
 
 
 def sumset(A: IntSet) -> IntSet:
@@ -277,15 +288,6 @@ def profile(A: IntSet) -> SumDiffProfile:
     return SumDiffProfile(len(A), len(sumset(A)), len(diffset(A)), A.diameter)
 
 
-def symmetry_point(A: IntSet) -> Optional[int]:
-    """min(A)+max(A) if A is a mirror image of itself about it, else None."""
-    if not A:
-        return None
-    a_star = A.min + A.max
-    mirrored = tuple(map(a_star.__sub__, reversed(A.elements)))
-    return a_star if mirrored == A.elements else None
-
-
 def residue_count(A: IntSet, n: int) -> int:
     """Number of distinct residues of A modulo n (mathematical modulus)."""
     if n < 1:
@@ -293,8 +295,11 @@ def residue_count(A: IntSet, n: int) -> int:
     return len({v % n for v in A.elements})
 
 
-def format_3dp(value: Fraction) -> str:
-    """Render a nonnegative rational to 3 decimal places, ties rounding up."""
+def format_density(value: Optional[Fraction]) -> str:
+    """A nonnegative rational to 3 decimals, ties rounding up, or N/A when it is
+    undefined (None): a density at diameter 0, or a ratio with no previous row."""
+    if value is None:
+        return "N/A"
     n, d = value.numerator, value.denominator
     if n < 0:
         raise ValueError("only nonnegative values are rendered")
@@ -302,14 +307,8 @@ def format_3dp(value: Fraction) -> str:
     return f"{scaled // 1000}.{scaled % 1000:03d}"
 
 
-def format_density(value: Optional[Fraction]) -> str:
-    """An optional rational to 3 decimals, or N/A when it is undefined (None):
-    a density at diameter 0, or a ratio with no previous row."""
-    return "N/A" if value is None else format_3dp(value)
-
-
-_INT_TOKEN = re.compile(r"^-?\d+$")
-_RANGE_TOKEN = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
+# One value, or the inclusive range a..b.
+_TOKEN = re.compile(r"(-?\d+)(?:\.\.(-?\d+))?")
 _RANGE_LIMIT = 1 << 24
 
 
@@ -324,21 +323,20 @@ def parse_set_literal(text: str) -> IntSet:
     values: list[int] = []
     for token in body.split(","):
         tok = token.strip()
-        if _INT_TOKEN.match(tok):
+        m = _TOKEN.fullmatch(tok)
+        if m is None:
+            raise ValueError(f"bad set-literal token {tok!r}")
+        if m[2] is None:
             values.append(int(tok))
             continue
-        m = _RANGE_TOKEN.match(tok)
-        if m:
-            a, b = int(m.group(1)), int(m.group(2))
-            if a > b:
-                raise ValueError(f"range {tok!r} needs its start <= end")
-            if b - a >= _RANGE_LIMIT:
-                raise ValueError(f"range {tok!r} spans more than {_RANGE_LIMIT} values")
-            if len(values) + b - a + 1 > _RANGE_LIMIT:
-                raise ValueError(f"set literal holds more than {_RANGE_LIMIT} values")
-            values.extend(range(a, b + 1))
-            continue
-        raise ValueError(f"bad set-literal token {tok!r}")
+        a, b = int(m[1]), int(m[2])
+        if a > b:
+            raise ValueError(f"range {tok!r} needs its start <= end")
+        if b - a >= _RANGE_LIMIT:
+            raise ValueError(f"range {tok!r} spans more than {_RANGE_LIMIT} values")
+        if len(values) + b - a + 1 > _RANGE_LIMIT:
+            raise ValueError(f"set literal holds more than {_RANGE_LIMIT} values")
+        values.extend(range(a, b + 1))
     # Single values after the last range are counted here, before dedupe.
     if len(values) > _RANGE_LIMIT:
         raise ValueError(f"set literal holds more than {_RANGE_LIMIT} values")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .chains import Chain, MethodTag, _grow
 from .intset import IntSet, SetClass, _class_from_counts, diffset, residue_count, sumset
+from .intset import _takes_hash_path
 
 
 @dataclass(frozen=True)
@@ -27,8 +28,6 @@ class Method1Params:
     diffset mod n; cond2 asks 2y-x-1 to beat the sum-difference gap.
     """
 
-    base: IntSet
-    n: int
     x: int
     y: int
     sum_residues: int
@@ -60,8 +59,6 @@ def _evaluate(A: IntSet, n: int, sums: IntSet, diffs: IntSet) -> Method1Params:
     sum_residues = residue_count(sums, n)
     diff_residues = residue_count(diffs, n)
     return Method1Params(
-        base=A,
-        n=n,
         x=x,
         y=y,
         sum_residues=sum_residues,
@@ -85,6 +82,7 @@ def search_moduli(A: IntSet) -> list[int]:
     MSTD base, it needs s and s+n in S: only n in S-S is tried, however wide A.
     """
     sums, diffs = _base_counts(A)
+    _takes_hash_path(sums, "A+A")  # a refusal of diffset(sums) names A+A, not A
     candidates = diffset(sums).within(A.max + 1, 2 * A.max)
     return [n for n in candidates if _evaluate(A, n, sums, diffs).valid]
 

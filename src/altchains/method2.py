@@ -19,12 +19,8 @@ from .intset import IntSet, SumDiffProfile
 from .nathanson import NathansonParams
 
 
-def build_a1_m2(params: NathansonParams) -> IntSet:
-    """First chain member: the base with its symmetric fringe pair attached."""
-    return generate_chain_m2(params, 1).set_at(1)
-
-
 def _first_member(params: NathansonParams) -> IntSet:
+    """The base with its symmetric fringe pair attached."""
     m, d, k = params.m, params.d, params.k
     if m % 4 != 0:
         raise ValueError(f"m must be divisible by 4, got {m}")
@@ -47,11 +43,6 @@ def _new_at(params: NathansonParams, j: int) -> int:
     m, d, k = params.m, params.d, params.k
     r = (j + 1) // 2
     return (k + r + 1) * m - d if j % 2 else -r * m - d
-
-
-def append_schedule(params: NathansonParams, steps: int) -> tuple[int, ...]:
-    """The elements appended after the first member, one per chain step."""
-    return tuple(_new_at(params, j) for j in range(1, steps))
 
 
 def generate_chain_m2(params: NathansonParams, steps: int) -> Chain:

@@ -31,15 +31,11 @@ from .intset import (
 
 @dataclass(frozen=True)
 class NathansonParams:
-    """Validated (m, d, k) bundle with all derived sets populated."""
+    """Validated (m, d, k) with its base A; B, L, a* and A* derive from them."""
 
     m: int
     d: int
     k: int
-    B: IntSet
-    L: IntSet
-    a_star: int
-    A_star: IntSet
     A: IntSet
 
 
@@ -82,7 +78,7 @@ def build_base(m: int, d: int, k: int) -> NathansonParams:
     if 2 * m not in S or 2 * m in sumset(A_star):
         raise RuntimeError(f"self-check failed: 2m not a fresh sum for (m={m}, d={d}, k={k})")
 
-    return NathansonParams(m=m, d=d, k=k, B=B, L=L, a_star=a_star, A_star=A_star, A=A)
+    return NathansonParams(m=m, d=d, k=k, A=A)
 
 
 def check_interval_lemma(m: int, r: int) -> bool:

@@ -11,8 +11,6 @@ import altchains.chains
 from altchains import (
     CONWAY_SET,
     MethodTag,
-    append_schedule,
-    build_a1_m2,
     build_base,
     generate_chain_m1,
     generate_chain_m2,
@@ -58,12 +56,10 @@ def test_method2_matches_schedule(m, d, k):
     steps = 125
     params = build_base(m, d, k)
     # Round r appends (k+r+1)m - d, then -rm - d.
-    want = [v for r in range(1, steps) for v in ((k + r + 1) * m - d, -r * m - d)]
-    schedule = append_schedule(params, steps)
-    assert schedule == tuple(want[: steps - 1])
-    a1 = build_a1_m2(params)
-    assert a1 == params.A.union([-d, (k + 1) * m - d])
+    schedule = [v for r in range(1, steps) for v in ((k + r + 1) * m - d, -r * m - d)]
+    a1 = params.A.union([-d, (k + 1) * m - d])
     chain = generate_chain_m2(params, steps)
+    assert chain.appends[1:] == tuple((v,) for v in schedule[: steps - 1])
     assert chain.sets == tuple(a1.union(schedule[:i]) for i in range(steps))
 
 
@@ -71,7 +67,10 @@ def test_method2_matches_schedule(m, d, k):
     "generate, first",
     [
         (lambda s: generate_chain_m1(CONWAY_SET, 17, s), CONWAY_SET),
-        (lambda s: generate_chain_m2(build_base(4, 1, 3), s), build_a1_m2(build_base(4, 1, 3))),
+        (
+            lambda s: generate_chain_m2(build_base(4, 1, 3), s),
+            make_set([-1, 0, 2, 3, 4, 7, 11, 12, 14, 15]),
+        ),
         (generate_chain_m3, phase1_set(0)),
     ],
     ids=["method1", "method2", "method3"],

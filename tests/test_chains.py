@@ -37,6 +37,10 @@ class TestChainContainer:
         with pytest.raises(ValueError):
             Chain.from_sets((), MethodTag.EXTERNAL)
 
+    def test_empty_member_rejected(self, conway):
+        with pytest.raises(ValueError, match="cannot profile the empty set"):
+            Chain.from_sets((conway, make_set([])), MethodTag.EXTERNAL)
+
     def test_set_at_is_one_based(self, m1_chain, conway):
         assert m1_chain.set_at(1) == conway
         with pytest.raises(IndexError):
@@ -161,6 +165,11 @@ class TestLimitingDensity:
     def test_probe_must_be_in_range(self, m1_chain):
         with pytest.raises(ValueError):
             limiting_density(m1_chain, 9)
+
+    def test_diameter_zero_probe_rejected(self):
+        chain = Chain.from_sets((make_set([5]),), MethodTag.EXTERNAL)
+        with pytest.raises(ValueError, match="density undefined at a diameter-0 probe"):
+            limiting_density(chain, 1)
 
     def test_convergence_is_monotone(self, conway):
         chain = generate_chain_m1(conway, 17, 31)

@@ -12,10 +12,11 @@ import altchains.chains
 import altchains.cli
 import altchains.intset
 import altchains.nathanson
-from altchains import MethodTag, generate_chain_m1
+from altchains import CONWAY_SET, MethodTag, generate_chain_m1
 from altchains.cli import (
     chain_to_text,
     main,
+    paper_chain,
     parse_chain_text,
     render_table,
 )
@@ -124,6 +125,14 @@ class TestProfile:
     def test_empty_rejected(self, capsys):
         assert main(["profile", "--set", ""]) == 2
 
+    def test_bitset_work_bounded(self, capsys):
+        # 4 * 10**5 shifts of a 4 * 10**5-bit mask pass the 2**36 limit.
+        assert main(["profile", "--set", "0..399999"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: |A| = 400000 is too large for a set of diameter 399999: "
+            "|A|*(diameter+1) exceeds the limit of 68719476736\n"
+        ))
+
 
 class TestSearchModulus:
     def test_conway(self, capsys):
@@ -132,6 +141,15 @@ class TestSearchModulus:
 
     def test_not_mstd(self, capsys):
         assert main(["search-modulus", "--set", "0,1,2"]) == 2
+
+    def test_wide_sumset_refusal_names_the_sumset(self, capsys):
+        # 320 elements hash, but their 2054 sums are past the pair budget.
+        literal = ",".join(str(10**6 * j + c) for j in range(40) for c in CONWAY_SET)
+        assert main(["search-modulus", "--set", literal]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: |A+A| = 2054 is too large for a set of diameter above 16777216: "
+            "its 4218916 pairs exceed the limit of 4194304\n"
+        ))
 
 
 class TestTable:
@@ -154,6 +172,8 @@ class TestTable:
 
     def test_unknown_paper(self, capsys):
         assert main(["table", "--paper", "4"]) == 2
+        with pytest.raises(ValueError, match="no table numbered 4"):
+            paper_chain(4)
 
     def test_rendering_is_deterministic(self, capsys):
         main(["table", "--paper", "3"])
@@ -222,6 +242,10 @@ class TestChainVerbAndFiles:
     def test_method1_missing_options(self, capsys):
         assert main(["chain", "--method", "1", "--steps", "3"]) == 2
 
+    def test_method2_missing_options(self, capsys):
+        assert main(["chain", "--method", "2", "--m", "4", "--d", "1", "--steps", "3"]) == 2
+        assert capsys.readouterr() == ("", "error: method 2 needs --m, --d and --k\n")
+
     def test_verify_flags_filled_hole(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# method=External base=0,2\n0,2\n0,1,2\n")
@@ -241,6 +265,12 @@ class TestChainVerbAndFiles:
         path = tmp_path / "bad.txt"
         path.write_text("# method=Nope base=0\n0,2\n")
         assert main(["verify", "--file", str(path)]) == 2
+
+    def test_verify_header_only(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# method=External base=0,2\n")
+        assert main(["verify", "--file", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: chain file holds no sets\n")
 
     def test_chain_text_format(self, conway):
         chain = generate_chain_m1(conway, 17, 2)
@@ -299,6 +329,20 @@ class TestScanParams:
 
     def test_only_method2_supported(self, capsys):
         assert main(["scan-params", "--method", "1"]) == 2
+
+    @pytest.mark.parametrize("max_k", ["2", "-5"])
+    def test_no_qualifying_k_answers_at_once(self, capsys, max_k):
+        # k is at least 3, so no base qualifies, however far --max-m reaches.
+        began = time.perf_counter()
+        args = ["scan-params", "--method", "2", "--max-m", str(10**12), "--max-k", max_k]
+        assert main(args) == 0
+        assert time.perf_counter() - began < 1
+        assert capsys.readouterr() == ("", "")
+
+    def test_shortest_ladder_still_scanned(self, capsys):
+        assert main(["scan-params", "--method", "2", "--max-m", "8", "--max-k", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" sumcard")[0] for line in lines] == ["m=4 d=1 k=3", "m=8 d=2 k=3"]
 
     def test_sweep_bounded_before_building(self, capsys, monkeypatch):
         # Bases of m = 4 and 8 with k <= 4 could hold 10+11+11 + 18+19+19 = 88

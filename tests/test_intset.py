@@ -14,7 +14,6 @@ from altchains import (
     affine,
     classify,
     diffset,
-    format_3dp,
     format_density,
     format_set_literal,
     interval,
@@ -23,7 +22,6 @@ from altchains import (
     profile,
     residue_count,
     sumset,
-    symmetry_point,
 )
 
 import altchains.intset as intset_module
@@ -160,21 +158,6 @@ class TestProfile:
             profile(IntSet())
 
 
-class TestSymmetryPoint:
-    def test_present(self):
-        assert symmetry_point(make_set([0, 2, 3, 7, 11, 12, 14])) == 14
-
-    def test_absent(self):
-        assert symmetry_point(make_set([1, 2, 4])) is None
-
-    def test_empty(self):
-        assert symmetry_point(IntSet()) is None
-
-    @given(st.integers(1, 60))
-    def test_intervals_symmetric(self, k):
-        assert symmetry_point(interval(1, k)) == 1 + k
-
-
 class TestResidueCount:
     def test_conway_sumset(self, conway):
         assert residue_count(sumset(conway), 17) == 17
@@ -191,6 +174,8 @@ class TestResidueCount:
 
 
 class TestFormat3dp:
+    """format_density renders every rational to 3 decimal places, and None as N/A."""
+
     @pytest.mark.parametrize(
         "num, den, text",
         [
@@ -203,11 +188,11 @@ class TestFormat3dp:
         ],
     )
     def test_values(self, num, den, text):
-        assert format_3dp(Fraction(num, den)) == text
+        assert format_density(Fraction(num, den)) == text
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="only nonnegative values"):
-            format_3dp(Fraction(-1, 2))
+            format_density(Fraction(-1, 2))
 
 
 class TestSetLiterals:
@@ -294,6 +279,35 @@ class TestHashPathBudget:
     def test_bitset_path_unlimited(self):
         # A dense set of more than 2048 elements takes the bitset path.
         assert len(sumset(interval(0, 2999))) == 5999
+
+
+class TestBitsetWorkBound:
+    def test_edge(self, monkeypatch):
+        # interval(0, 9) is 10 shifts of a 10-bit mask; without 5, [0, 10]
+        # is 10 shifts of an 11-bit mask.
+        monkeypatch.setattr(intset_module, "_BITSET_WORK_LIMIT", 100)
+        assert len(sumset(interval(0, 9))) == len(diffset(interval(0, 9))) == 19
+        fault = (
+            r"\|A\| = 10 is too large for a set of diameter 10: "
+            r"\|A\|\*\(diameter\+1\) exceeds the limit of 100"
+        )
+        for fn in (sumset, diffset, profile, classify):
+            with pytest.raises(ValueError, match=fault):
+                fn(interval(0, 10).without(5))
+
+    def test_hash_path_not_bounded(self, monkeypatch):
+        # 9 pairs against a diameter of 200: hashed, though 3 * 201 > 100.
+        monkeypatch.setattr(intset_module, "_BITSET_WORK_LIMIT", 100)
+        assert len(sumset(make_set([0, 1, 200]))) == 6
+
+    def test_default_limit(self):
+        # |A| = 10**5 at span 4 * 10**5 is admitted, [0, 399999] is not;
+        # only the path rule runs, so nothing is packed.
+        wide = IntSet(tuple(range(0, 4 * 10**5, 4)))
+        assert not intset_module._takes_hash_path(wide)
+        assert not intset_module._takes_hash_path(interval(0, 199999))
+        with pytest.raises(ValueError, match="exceeds the limit of 68719476736"):
+            intset_module._takes_hash_path(interval(0, 399999))
 
 
 # A copy of IntSet's element-by-element check: the reference for its C-level pass.
@@ -484,7 +498,7 @@ class TestProperties:
     @given(subsets_of_0_50.filter(bool), st.integers(-20, 120))
     def test_symmetric_sets_are_balanced(self, values, a_star):
         A = make_set(values).union(a_star - v for v in values)
-        assert symmetry_point(A) == A.min + A.max
+        assert affine(A, -1, A.min + A.max) == A
         assert classify(A) is SetClass.BALANCED
 
     @given(st.integers(1, 80))

@@ -112,7 +112,7 @@ class TestOneKernelPass:
             x = sum(1 for a in A if n + a not in sums)
             y = sum(1 for b in A if n - b not in diffs)
             want = (x, y, residue_count(make_set(sums), n), residue_count(make_set(diffs), n))
-            assert (p.base, p.n, p.x, p.y, p.sum_residues, p.diff_residues) == (A, n, *want)
+            assert (p.x, p.y, p.sum_residues, p.diff_residues) == want
             assert p.cond1 == (want[2] == want[3])
             assert p.cond2 == (2 * y - x - 1 > len(sums) - len(diffs))
 
@@ -156,6 +156,13 @@ class TestSearchModuli:
         moduli = search_moduli(affine(CONWAY_SET, 10**8, 0))
         assert moduli == [17 * 10**8, 18 * 10**8, 20 * 10**8]
         assert time.perf_counter() - began < 1
+
+    def test_sumset_refusal_names_the_sumset(self, monkeypatch):
+        # The Conway set packs in 8 * 15 = 120 and its sums in 26 * 29 = 754.
+        monkeypatch.setattr(altchains.intset, "_BITSET_WORK_LIMIT", 200)
+        fault = r"^\|A\+A\| = 26 is too large for a set of diameter 28: \|A\+A\|\*"
+        with pytest.raises(ValueError, match=fault):
+            search_moduli(CONWAY_SET)
 
     def test_range_is_capped_at_twice_max(self, conway):
         assert all(n <= 2 * conway.max for n in search_moduli(conway))

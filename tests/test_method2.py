@@ -1,12 +1,11 @@
 import pytest
 
+import altchains.method2
 from altchains import (
     Chain,
     MethodTag,
     SetClass,
     affine,
-    append_schedule,
-    build_a1_m2,
     build_base,
     generate_chain_m2,
     make_set,
@@ -36,16 +35,24 @@ FIXTURE_8_2_3 = [
 
 class TestBuildA1:
     def test_conway_params(self, conway_params):
-        a1 = build_a1_m2(conway_params)
+        a1 = generate_chain_m2(conway_params, 1).set_at(1)
         assert a1 == make_set([-1, 0, 2, 3, 4, 7, 11, 12, 14, 15])
 
     def test_m_not_divisible_by_4(self):
         with pytest.raises(ValueError, match="m must be divisible by 4, got 6"):
-            build_a1_m2(build_base(6, 1, 3))
+            generate_chain_m2(build_base(6, 1, 3), 1)
 
     def test_d_outside_quarters(self):
         with pytest.raises(ValueError, match="d must be m/4 or 3m/4, got d=1 for m=8"):
-            build_a1_m2(build_base(8, 1, 3))
+            generate_chain_m2(build_base(8, 1, 3), 1)
+
+    def test_self_check(self, conway_params, monkeypatch):
+        # Only the low fringe -d attached: 29 sums and 29 differences.  (The
+        # bare base would pass: every base has one more sum than differences.)
+        monkeypatch.setattr(altchains.method2, "_first_member", lambda p: p.A.union([-p.d]))
+        fault = r"first member for \(m=4, d=1, k=3\) has 29 sums vs 29 differences"
+        with pytest.raises(RuntimeError, match=fault):
+            generate_chain_m2(conway_params, 3)
 
 
 class TestGenerateChain:
@@ -61,7 +68,8 @@ class TestGenerateChain:
         assert a3 == a2.union([-5])
 
     def test_append_schedule(self, conway_params):
-        assert append_schedule(conway_params, 7) == (19, -5, 23, -9, 27, -13)
+        appends = generate_chain_m2(conway_params, 7).appends
+        assert appends == (None, (19,), (-5,), (23,), (-9,), (27,), (-13,))
 
     def test_cardinality_grows_by_one(self, conway_params):
         chain = generate_chain_m2(conway_params, 12)
@@ -103,11 +111,13 @@ class TestStarIdentities:
         assert report.failures == ()
 
     def test_star_state_and_symmetry(self, conway_params):
+        m, d, k = conway_params.m, conway_params.d, conway_params.k
+        a_star = (k + 1) * m - 2 * d
         chain = generate_chain_m2(conway_params, 9)
         for idx in range(1, 10, 2):
-            star = chain.sets[idx - 1].without(conway_params.m)
-            assert conway_params.m not in star
-            assert affine(star, -1, conway_params.a_star) == star
+            star = chain.sets[idx - 1].without(m)
+            assert m not in star
+            assert affine(star, -1, a_star) == star
 
     def test_sweep_params(self):
         for m, d in [(8, 2), (8, 6), (12, 3), (12, 9)]:

@@ -11,7 +11,6 @@ from altchains import (
     interval,
     make_set,
     sumset,
-    symmetry_point,
 )
 
 from conftest import valid_param_triples
@@ -20,10 +19,9 @@ from conftest import valid_param_triples
 class TestBuildBase:
     def test_conway_derivation(self, conway, conway_params):
         p = conway_params
-        assert p.B == make_set([0, 2, 3])
-        assert p.L == make_set([3, 7, 11])
-        assert p.a_star == 14
-        assert p.A_star == make_set([0, 2, 3, 7, 11, 12, 14])
+        assert (p.m, p.d, p.k) == (4, 1, 3)
+        # B = {0, 2, 3}, L = {3, 7, 11} and a* = 14, so A* = B u L u (a* - B).
+        assert p.A.without(p.m) == make_set([0, 2, 3, 7, 11, 12, 14])
         assert p.A == conway
 
     def test_d_half_m_rejected(self):
@@ -71,10 +69,26 @@ class TestBuildBase:
         with pytest.raises(ValueError, match="k must be >= 3 when d < m/2, got 2"):
             build_base(4 * 10**8, 10**8, 2)
 
+    def test_self_check_mstd(self, monkeypatch):
+        # a* - B built as B itself: the base is no longer sum-dominated.
+        monkeypatch.setattr(altchains.nathanson, "affine", lambda B, x, y: B)
+        fault = r"base for \(m=4, d=1, k=3\) is not MSTD"
+        with pytest.raises(RuntimeError, match=fault):
+            build_base(4, 1, 3)
+
+    def test_self_check_fresh_sum(self, monkeypatch):
+        # A ladder that holds m puts 2m = m + m in A*+A*.
+        monkeypatch.setattr(
+            altchains.nathanson, "make_set", lambda values: make_set([*values, 4])
+        )
+        fault = r"2m not a fresh sum for \(m=4, d=1, k=3\)"
+        with pytest.raises(RuntimeError, match=fault):
+            build_base(4, 1, 3)
+
     def test_two_m_is_a_fresh_sum(self, conway_params):
         p = conway_params
         assert 2 * p.m in sumset(p.A)
-        assert 2 * p.m not in sumset(p.A_star)
+        assert 2 * p.m not in sumset(p.A.without(p.m))
 
     def test_one_kernel_pass_on_A(self, monkeypatch):
         # sumset(A) serves both the class check and the fresh-sum check;
@@ -93,9 +107,9 @@ class TestBuildBase:
         for m, d, k in valid_param_triples(16, 6):
             p = build_base(m, d, k)
             assert classify(p.A) is SetClass.MSTD, (m, d, k)
-            # the frame without m is a mirror image of itself about a*
-            assert affine(p.A_star, -1, p.a_star) == p.A_star, (m, d, k)
-            assert symmetry_point(p.A_star) == p.a_star, (m, d, k)
+            # the frame A* = A minus m is a mirror image of itself about a*
+            star = p.A.without(m)
+            assert affine(star, -1, (k + 1) * m - 2 * d) == star, (m, d, k)
 
 
 class TestIntervalLemma:
