@@ -2,11 +2,13 @@
 
 The canonical representation is a strictly increasing tuple of ints.  Sumsets
 and difference sets are computed by one of two kernels.  The bitset kernel
-translates the set to start at offset 0, packs it into one Python int, and
-shifts/ORs it once per element.  The hash kernel collects the sums a+b with
-a <= b (or the positive differences) in a set; it serves sets so sparse that
-|A|^2 is below their diameter.  The naive double-loop enumeration lives in the
-test suite as an independent oracle.
+translates the set to start at offset 0, divides the offsets by their common
+step, packs them into one Python int, and shifts/ORs it once per element, but
+stops as soon as the shifts left to do can set no new bit (see _sum_mask and
+_diff_mask).  The hash kernel collects the sums a+b with a <= b (or the
+positive differences) in a set; it serves sets so sparse that |A|^2 is below
+their diameter.  The naive double-loop enumeration lives in the test suite as
+an independent oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice, repeat
+from math import gcd
 from operator import lt, neg
 from typing import Iterable, Iterator, Optional
 
@@ -33,7 +36,9 @@ _BITSET_SPAN_LIMIT = 1 << 24
 # within the limit and leaves the rest to the bitset path.
 _PAIR_LIMIT = 1 << 22
 
-# The bitset path shifts a (diameter+1)-bit mask |A| times; it refuses more.
+# The bitset path shifts a (diameter+1)-bit mask up to |A| times; it stops
+# early on dense sets, but a set with holes in the middle of A+A takes every
+# shift, so it refuses more work than this.
 _BITSET_WORK_LIMIT = 1 << 36
 
 
@@ -166,11 +171,88 @@ def _packed(values: Iterable[int], base: int) -> int:
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _unpack(mask: int, base: int) -> tuple[int, ...]:
-    """The values base+i, rising, for each set bit i of `mask`."""
+def _unpack(mask: int, base: int, step: int = 1) -> tuple[int, ...]:
+    """The values base+step*i, rising, for each set bit i of `mask`."""
     # bin(mask)[:1:-1] is the bit string least-significant-first.
     flags = bin(mask)[:1:-1].encode("ascii").translate(_DIGIT_FLAGS)
-    return tuple(compress(range(base, base + len(flags)), flags))
+    return tuple(compress(range(base, base + step * len(flags), step), flags))
+
+
+def _scaled_offsets(el: tuple[int, ...]) -> tuple[list[int], int]:
+    """The offsets (a - min A)/g, rising, and g, the gcd of the a - min A.
+
+    A singleton's gcd is 0; it takes the step 1.
+    """
+    lo = el[0]
+    offsets = list(map(lo.__rsub__, el))
+    g = gcd(*offsets) or 1
+    if g > 1:
+        offsets = list(map(g.__rfloordiv__, offsets))
+    return offsets, g
+
+
+# The bitset kernels test whether they may stop after 8, 16, 32, ... shifts
+# (from each end, for sums): log2|A| tests of O(span) each.
+_FIRST_CHECK = 8
+
+
+def _sum_mask(offsets: list[int]) -> int:
+    """The mask with bit s set for each sum s of two offsets.
+
+    Shifts by the outermost offsets first, o[0], o[n-1], o[1], o[n-2], ...
+    After k shifts from each end, every sum with a summand among those 2k
+    offsets is set.  A sum still unset is o[i] + o[j] with k <= i, j <= n-1-k,
+    so it lies in the window [2*o[k], 2*o[n-1-k]], and every bit the shifts
+    left can set lies there too.  Once the mask has every bit of the window,
+    those shifts can add nothing, so the mask is final and the loop stops:
+    exact, not a guess.  Dense sets miss sums only near their ends (Martin
+    and O'Bryant), so they fill the window after a few shifts; a set whose
+    middle elements' own sums leave a hole in it never does, and takes all
+    |A| shifts.
+    """
+    n = len(offsets)
+    bits = _packed(offsets, 0)
+    acc = 0
+    done, k = 0, _FIRST_CHECK
+    while 2 * k < n:
+        for o in offsets[done:k]:
+            acc |= bits << o
+        for o in offsets[n - k : n - done]:
+            acc |= bits << o
+        lo, hi = 2 * offsets[k], 2 * offsets[n - 1 - k]
+        window = (1 << (hi - lo + 1)) - 1
+        if (acc >> lo) & window == window:
+            return acc
+        done, k = k, 2 * k
+    for o in offsets[done : n - done]:
+        acc |= bits << o
+    return acc
+
+
+def _diff_mask(offsets: list[int]) -> int:
+    """The mask with bit d set for each difference d >= 0 of two offsets.
+
+    Shifts right by the offsets in rising order.  After k shifts the ones
+    left, by o[k] .. o[n-1], each set bits only in [0, span - o[k]]: the
+    difference a - b with b >= o[k] is at most span - o[k].  Once that
+    prefix of the mask is full, the mask is final and the loop stops.  The
+    large differences, which need one element near each end, all come from
+    the first shifts; a dense set's prefix is full soon after.
+    """
+    n, span = len(offsets), offsets[-1]
+    bits = _packed(offsets, 0)
+    acc = 0
+    done, k = 0, _FIRST_CHECK
+    while k < n:
+        for o in offsets[done:k]:
+            acc |= bits >> o
+        prefix = (1 << (span - offsets[k] + 1)) - 1
+        if acc & prefix == prefix:
+            return acc
+        done, k = k, 2 * k
+    for o in offsets[done:]:
+        acc |= bits >> o
+    return acc
 
 
 def _takes_hash_path(A: IntSet, name: str = "A") -> bool:
@@ -208,12 +290,8 @@ def sumset(A: IntSet) -> IntSet:
         for i, a in enumerate(el):
             sums.update(map(a.__add__, el[i:]))
         return _trusted(tuple(sorted(sums)))
-    lo = A.min
-    bits = _packed(el, lo)
-    acc = 0
-    for a in el:
-        acc |= bits << (a - lo)
-    return _trusted(_unpack(acc, 2 * lo))
+    offsets, g = _scaled_offsets(el)
+    return _trusted(_unpack(_sum_mask(offsets), 2 * A.min, g))
 
 
 def diffset(A: IntSet) -> IntSet:
@@ -229,13 +307,8 @@ def diffset(A: IntSet) -> IntSet:
             found.update(map(b.__rsub__, el[i + 1 :]))
         positive = tuple(sorted(found))
     else:
-        lo = A.min
-        bits = _packed(el, lo)
-        acc = 0
-        for b in el:
-            # bit k of bits >> (b-lo) marks the difference a-b = k >= 0.
-            acc |= bits >> (b - lo)
-        positive = _unpack(acc >> 1, 1)
+        offsets, g = _scaled_offsets(el)
+        positive = _unpack(_diff_mask(offsets) >> 1, g, g)
     return _trusted((*map(neg, reversed(positive)), 0, *positive))
 
 

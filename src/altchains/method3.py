@@ -63,6 +63,6 @@ def delta_counts(i: int) -> tuple[int, int]:
             f"delta counting applies to phases 2 and 4; index {i} is phase {phase}"
         )
     cur, prev = set_m3(i), set_m3(i - 1)
-    new_sums = len(set(sumset(cur)) - set(sumset(prev)))
-    new_diffs = len(set(diffset(cur)) - set(diffset(prev)))
-    return new_sums, new_diffs
+    # prev is a subset of cur, so its sums and differences are among cur's:
+    # the new ones number exactly what the counts gain.
+    return len(sumset(cur)) - len(sumset(prev)), len(diffset(cur)) - len(diffset(prev))

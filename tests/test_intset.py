@@ -1,7 +1,10 @@
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -467,6 +470,180 @@ class TestKernelPaths:
         for v in values:
             bits |= 1 << (v - base)
         assert intset_module._packed(values, base) == bits
+
+
+def _checks(n, sums):
+    """The shift counts k after which the bitset kernel may stop: 8, 16, 32, ...
+    while shifts remain (k from each end for sums)."""
+    k, out = 8, []
+    while (2 * k < n) if sums else (k < n):
+        out.append(k)
+        k *= 2
+    return out
+
+
+def _window_at_check(offsets, k, sums):
+    """The window (lo, hi) the check after k shifts reads, and the bits of it
+    that those first shifts leave unset, found by the double loop."""
+    n = len(offsets)
+    if sums:
+        outer = offsets[:k] + offsets[n - k :]
+        found = {a + b for a in outer for b in offsets}
+        lo, hi = 2 * offsets[k], 2 * offsets[n - 1 - k]
+    else:
+        found = {b - a for a in offsets[:k] for b in offsets if b >= a}
+        lo, hi = 0, offsets[-1] - offsets[k]
+    return lo, hi, set(range(lo, hi + 1)) - found
+
+
+# Sets of 15 to 33 elements at the bitset kernel's checks.  "inside": the
+# first k shifts leave exactly one bit of the window unset, at its edge, and
+# a later shift sets it, so the kernel must not stop.  "outside": the window
+# is full, so the kernel stops, and the value just past its edge is missing
+# from the result.
+STOP_CASES = [
+    ("0..4,6..7,9,23..28,33", False, 8, "inside"),
+    ("0..6,14,24..30", False, 8, "outside"),
+    ("0..4,7,9..15,21,24,27", False, 8, "inside"),
+    ("0..3,7..9,21,23,25..30,32", False, 8, "outside"),
+    ("0,2..6,8,10,25,28..35", True, 8, "inside"),
+    ("0..6,9..10,14,22,30..35", True, 8, "outside"),
+    ("0..1,3,5..7,9,21..28,31,33", False, 8, "inside"),
+    ("0,2,5..7,9..10,12,24,26,28..34", False, 8, "outside"),
+    ("0,2,4,6,9,11,18,22,25,29,32,34,36,38,44,47,49", False, 16, "outside"),
+    ("0..3,6..16,18..19,21,28,30,38,42,45,50,54,58..59,63,66..67,70", True, 8, "inside"),
+    ("0,2,4,7,10,17,19,21,23,25,27,31,37,39..40,44,47,51..59,62..64,68,71", True, 8, "outside"),
+    ("0..3,5..6,8..11,13,15..23,25..31,34..36,47", False, 8, "inside"),
+    ("0,4,6,8,12,14..16,20,23..24,26,28,31..32,37..39,43,45..50,53,65..67,73,75", False, 8,
+     "outside"),
+    ("0,4..8,11,15,19..21,23,26,32..34,44..45,47..49,53,55,58,60,62,66,68..69,72,75", False, 16,
+     "inside"),
+    ("0..1,3..5,10,14..15,19,22,30..31,34..35,37,39,42,44..45,49,56,58,60,65,68,70,74..75,79,"
+     "83,88", False, 16, "outside"),
+    ("0..6,8..9,11,19..21,23,25..27,29,31,33..36,38..41,43..47", True, 8, "inside"),
+    ("0,2,4,6,8..9,12,14..16,18..19,21..30,38,40,42,44..50", True, 8, "outside"),
+    ("0..3,8,11..14,17,19..20,24,27..32,34..36,38,40,42,44..46,49,55..56,64", False, 8, "inside"),
+    ("0..5,7..8,10,14..15,19,21..23,26,29..30,33,41..42,45..47,49..54,62,65", False, 8, "outside"),
+    ("0..1,4,8..10,16,18..19,25..28,30..33,35..38,43..44,47..49,54,63..64,70,82,91", False, 16,
+     "inside"),
+    ("0,2..3,9,17,20..21,26,28..31,34,36..38,40,42..43,45..46,54..57,59,61,73,76,82,84,88",
+     False, 16, "outside"),
+    ("0..8,17..25,27..30,35..38,40,42..43,45..47,49", True, 8, "inside"),
+    ("0..3,5..8,10,15,21..26,28..30,33,35..42,44,47..50", True, 8, "outside"),
+    ("0..4,6,8,12,14..15,19..20,23..25,45..46,48..60,62..64", True, 16, "inside"),
+    ("0..1,3,8,10,12..15,21,23..27,29,32,54,57..58,61,67,71,74..76,79,81..82,85,88,92,97", True,
+     16, "outside"),
+    ("0..5,7,10..13,15..18,20..28,32,34..37,45,47..48,50", False, 8, "inside"),
+    ("0..5,10..11,13..16,22..27,29,33,36,39..44,47..48,51..52,59,65", False, 8, "outside"),
+    ("0..2,7,10..11,14,16,20,22,27,35..36,38,40,51,55,58,64,66..67,71..74,76,82,84..88,98", False,
+     16, "inside"),
+    ("0,2,4,8..10,18,20,22..23,28..33,38..41,45,47,49,52..53,57..60,63,72,82..83", False, 16,
+     "outside"),
+    # No two elements adjacent, so 1 is no difference: the last check stops.
+    (",".join(map(str, range(0, 64, 2))) + ",65", False, 32, "outside"),
+]
+
+
+def _stop_case_id(case):
+    literal, sums, k, where = case
+    return f"{'sums' if sums else 'diffs'}-{len(parse_set_literal(literal))}-k{k}-{where}"
+
+
+def _exact(A):
+    assert sumset(A).elements == tuple(sorted(naive_sumset(A)))
+    assert diffset(A).elements == tuple(sorted(naive_diffset(A)))
+
+
+# A dense set with holes: at least 150 of [0, 299], so |A|^2 > 50 * 299 and
+# every dilation by g <= 50 takes the bitset path.
+dense_with_holes = st.sets(st.integers(1, 298), max_size=150).map(
+    lambda holes: IntSet(tuple(v for v in range(300) if v not in holes)))
+# Translations: negative, and near +-2**61 so that sums pass the element bound.
+translations = st.one_of(
+    st.integers(-(10**9), -1),
+    st.integers(2**61 - 20000, 2**61),
+    st.integers(-(2**61) - 20000, -(2**61)),
+)
+
+
+class TestStoppingRules:
+    """The bitset kernel's early stops and common step, against the double loop."""
+
+    @pytest.mark.parametrize("case", STOP_CASES, ids=_stop_case_id)
+    def test_at_each_check(self, case):
+        literal, sums, k, where = case
+        A = parse_set_literal(literal)
+        assert A.min == 0 and gcd(*A.elements) == 1
+        assert not intset_module._takes_hash_path(A)
+        offsets = list(A.elements)
+        # No earlier check stops the kernel.
+        checks = _checks(len(A), sums)
+        for j in checks[: checks.index(k)]:
+            assert _window_at_check(offsets, j, sums)[2]
+        lo, hi, unset = _window_at_check(offsets, k, sums)
+        found = naive_sumset(A) if sums else naive_diffset(A)
+        if where == "inside":
+            assert unset in ({lo}, {hi}) and unset <= found
+        else:
+            assert not unset
+            assert hi + 1 not in found or (sums and lo - 1 not in found)
+        _exact(A)
+        # The same case at a common step of 3 and a negative base.
+        _exact(affine(A, 3, -(10**6)))
+
+    def test_hole_in_the_middle(self):
+        # 0..15 and 100..115 miss the sums 31..56 and 73..99.  The sums
+        # window at k = 8 never fills; at k = 16 only 57+57 is left, and
+        # 0+114 has set it.
+        A = parse_set_literal("0..15,57,100..115")
+        offsets = list(A.elements)
+        assert [bool(_window_at_check(offsets, k, True)[2]) for k in (8, 16)] == [True, False]
+        _exact(A)
+        # The sums of 40..49 alone fill 80..98, so no check stops: all 42 shifts.
+        B = parse_set_literal("0..15,40..49,100..115")
+        offsets = list(B.elements)
+        assert all(_window_at_check(offsets, k, True)[2] for k in _checks(len(B), True))
+        _exact(B)
+
+    @given(st.one_of(dense_with_holes, st.sampled_from(
+        [parse_set_literal(case[0]) for case in STOP_CASES])), st.integers(2, 50), translations)
+    @settings(max_examples=60, deadline=None)
+    def test_common_step(self, S, g, c):
+        A = affine(S, g, c)
+        for kernel, naive in ((sumset, naive_sumset), (diffset, naive_diffset)):
+            want = tuple(sorted(naive(A)))
+            if max(-want[0], want[-1]) > intset_module.SAFE_BOUND:
+                with pytest.raises(ValueError, match="exceeds the safe element bound"):
+                    kernel(A)
+            else:
+                assert kernel(A).elements == want
+
+    @given(st.integers(-(2**61) + 4, 2**61 - 4), st.integers(1, 4))
+    def test_two_elements(self, v, d):
+        # Up to d = 4, |A|^2 is not below the diameter: the bitset path, at step d.
+        A = make_set([v, v + d])
+        assert not intset_module._takes_hash_path(A)
+        assert sumset(A).elements == (2 * v, 2 * v + d, 2 * v + 2 * d)
+        assert diffset(A).elements == (-d, 0, d)
+
+    @pytest.mark.parametrize(
+        "make, counts",
+        [
+            (lambda: interval(0, 199999), (200000, 399999, 399999, 199999)),
+            # Counts from the kernel that shifted once per element.
+            (lambda: make_set(random.Random(19).sample(range(4 * 10**5), 10**5)),
+             (100000, 799964, 799987, 399999)),
+        ],
+        ids=["interval", "random"],
+    )
+    def test_dense_sets_at_size(self, make, counts):
+        # Both took 3.5 to 4.5 s with one shift per element on a 2-vCPU machine.
+        A = make()
+        start = time.perf_counter()
+        p = profile(A)
+        elapsed = time.perf_counter() - start
+        assert (p.card, p.sum_card, p.diff_card, p.diameter) == counts
+        assert elapsed < 1.5
 
 
 class TestProperties:

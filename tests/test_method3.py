@@ -9,6 +9,7 @@ from altchains import (
     set_m3,
     sumset,
 )
+from conftest import naive_diffset, naive_sumset
 
 # columns: sums, diffs, cardinality, diameter
 TABLE_3 = [
@@ -110,6 +111,15 @@ class TestDeltaCounts:
     @pytest.mark.parametrize("i", [2, 4, 6, 8, 10, 102, 104])
     def test_four_sums_six_diffs(self, i):
         assert delta_counts(i) == (4, 6)
+
+    def test_counts_gained_are_the_new_elements(self):
+        # Each member contains the one before, so the counts' gain is the
+        # number of sums and differences it adds.
+        for i in (j for j in range(2, 61) if (j - 1) % 4 in (1, 3)):
+            cur, prev = set_m3(i), set_m3(i - 1)
+            new_sums = len(naive_sumset(cur) - naive_sumset(prev))
+            new_diffs = len(naive_diffset(cur) - naive_diffset(prev))
+            assert delta_counts(i) == (new_sums, new_diffs), i
 
     @pytest.mark.parametrize("i", [1, 3, 5, 7])
     def test_unsupported_phases(self, i):
