@@ -107,7 +107,8 @@ class _Masks:
 
 class _Kernel:
     """The `_Masks` interface, with each set's sums and differences computed
-    afresh by the kernel: for hulls past the bitset cut, where it hashes."""
+    afresh by the kernel: for hulls past the bitset cut, where it takes the hash
+    path."""
 
     def advance(self, cur: IntSet, new: Optional[Sequence[int]]) -> None:
         self.current, self.sums, self.diffs = cur, sumset(cur), diffset(cur)

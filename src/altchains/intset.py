@@ -5,9 +5,10 @@ and difference sets are computed by one of two kernels.  The bitset kernel
 translates the set to start at offset 0, divides the offsets by their common
 step, packs them into one Python int, and shifts/ORs it once per element, but
 stops as soon as the shifts left to do can set no new bit (see _sum_mask and
-_diff_mask).  The hash kernel collects the sums a+b with a <= b (or the
-positive differences) in a set; it serves sets so sparse that |A|^2 is below
-their diameter.  The naive double-loop enumeration lives in the test suite as
+_diff_mask).  The hash kernel lists the sums a+b with a <= b (or the
+positive differences) as rising rows, one per element, and merges the sorted
+rows, dropping repeats; it serves sets so sparse that |A|^2 is below their
+diameter.  The naive double-loop enumeration lives in the test suite as
 an independent oracle.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice, repeat
 from math import gcd
-from operator import lt, neg
+from operator import lt, ne, neg
 from typing import Iterable, Iterator, Optional
 
 # Elements are capped so that a+b always fits a signed 64-bit word.
@@ -153,17 +154,17 @@ CONWAY_SET = IntSet((0, 2, 3, 4, 7, 11, 12, 14))
 def _packed(values: Iterable[int], base: int) -> int:
     """Bitmask with bit v-base set for each v in `values` (all >= base).
 
-    The bits are written as ASCII digits, most significant first, and parsed
-    by int(..., 2): linear in the span, where OR-ing in 1 << (v-base) per
-    value would copy the growing mask each time.
+    The bits are written as ASCII digits, least significant first, reversed
+    once and parsed by int(..., 2): linear in the span, where OR-ing in
+    1 << (v-base) per value would copy the growing mask each time.
     """
-    offsets = list(map(base.__rsub__, values))
+    offsets = list(map(base.__rsub__, values) if base else values)
     if not offsets:
         return 0
-    top = max(offsets)
-    digits = bytearray(b"0") * (top + 1)
+    digits = bytearray(b"0") * (max(offsets) + 1)
     # Consume the map at C speed; each call sets the digit of one value.
-    deque(map(digits.__setitem__, map(top.__sub__, offsets), repeat(ord("1"))), maxlen=0)
+    deque(map(digits.__setitem__, offsets, repeat(ord("1"))), maxlen=0)
+    digits.reverse()
     return int(digits, 2)
 
 
@@ -255,11 +256,27 @@ def _diff_mask(offsets: list[int]) -> int:
     return acc
 
 
+def _merged(rows: Iterable[Iterable[int]]) -> list[int]:
+    """The distinct values of the rising `rows`, rising.
+
+    list.sort merges the rows as runs rather than sorting from scratch; then
+    each value equal to its successor is dropped.
+    """
+    values: list[int] = []
+    for row in rows:
+        values.extend(row)
+    values.sort()
+    distinct = list(compress(values, map(ne, values, islice(values, 1, None))))
+    distinct += values[-1:]
+    return distinct
+
+
 def _takes_hash_path(A: IntSet, name: str = "A") -> bool:
-    """Whether the kernel hashes A's pairs rather than packing a bitset.
+    """Whether the kernel takes the hash path, merging A's pair rows, rather
+    than packing a bitset.
 
     Past the span cut it must, and refuses more than _PAIR_LIMIT pairs.
-    Below it, hashing wins when the pairs number fewer than the diameter, and
+    Below it, the rows win when the pairs number fewer than the diameter, and
     the bitset path refuses past _BITSET_WORK_LIMIT.  Refusals call A `name`.
     """
     n2 = len(A) * len(A)
@@ -286,10 +303,7 @@ def sumset(A: IntSet) -> IntSet:
         return IntSet()
     el = A.elements
     if _takes_hash_path(A):
-        sums: set[int] = set()
-        for i, a in enumerate(el):
-            sums.update(map(a.__add__, el[i:]))
-        return _trusted(tuple(sorted(sums)))
+        return _trusted(tuple(_merged(map(a.__add__, el[i:]) for i, a in enumerate(el))))
     offsets, g = _scaled_offsets(el)
     return _trusted(_unpack(_sum_mask(offsets), 2 * A.min, g))
 
@@ -301,11 +315,8 @@ def diffset(A: IntSet) -> IntSet:
     el = A.elements
     # Only the positive differences are found; the rest is their mirror.
     if _takes_hash_path(A):
-        found: set[int] = set()
-        for i, b in enumerate(el):
-            # b.__rsub__(a) is a-b, for each a above b.
-            found.update(map(b.__rsub__, el[i + 1 :]))
-        positive = tuple(sorted(found))
+        # b.__rsub__(a) is a-b, for each a above b.
+        positive = _merged(map(b.__rsub__, el[i + 1 :]) for i, b in enumerate(el))
     else:
         offsets, g = _scaled_offsets(el)
         positive = _unpack(_diff_mask(offsets) >> 1, g, g)

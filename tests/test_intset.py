@@ -8,7 +8,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from altchains import (
@@ -471,6 +471,74 @@ class TestKernelPaths:
             bits |= 1 << (v - base)
         assert intset_module._packed(values, base) == bits
 
+    @given(st.lists(st.integers(0, 5000), min_size=1), st.integers(-100, -1))
+    def test_packed_takes_a_descending_iterator(self, values, base):
+        # As chains._Masks packs a mirror: a map, falling, with duplicates.
+        top = max(values)
+        rising = sorted(values + values[:3])
+        for b in (0, base):
+            bits = 0
+            for v in rising:
+                bits |= 1 << (top - v - b)
+            assert intset_module._packed(map(top.__sub__, rising), b) == bits
+
+
+# Unions of short progressions, one per 2**25-wide slot: wide enough to hash,
+# with many sums and differences that coincide.
+progression_unions = st.lists(
+    st.tuples(st.integers(0, 2**20), st.integers(1, 5), st.integers(1, 6)), min_size=2, max_size=6
+).map(lambda blocks: make_set(
+    slot * 2**25 + start + step * i
+    for slot, (start, step, length) in enumerate(blocks) for i in range(length)))
+
+
+class TestMergedHashPath:
+    """The hash path's merged rows against the double loop; each set hashes."""
+
+    def _hashed_exact(self, A):
+        assert intset_module._takes_hash_path(A)
+        _exact(A)
+
+    def test_coinciding_sums(self):
+        A = parse_set_literal("0..4,100000000..100000004,300000007")
+        self._hashed_exact(A)
+        assert (len(sumset(A)), len(diffset(A))) == (38, 47)
+
+    @given(progression_unions, st.integers(-(10**12), 10**12))
+    def test_progression_unions(self, A, shift):
+        self._hashed_exact(affine(A, 1, shift))
+
+    def test_one_and_two_values(self):
+        # A singleton has diameter 0 and never hashes, so the merge itself
+        # takes one value and no value.
+        assert intset_module._merged([map(int, [7])]) == [7]
+        assert intset_module._merged([[], []]) == []
+        self._hashed_exact(make_set([-(2**40), 2**40]))
+
+    def test_both_refused_past_the_element_bound(self):
+        # Sums -2**62 and 2**62, and the difference 2**62.
+        A = make_set([-(2**61), 2**61])
+        assert intset_module._takes_hash_path(A)
+        for kernel in (sumset, diffset):
+            with pytest.raises(ValueError, match="exceeds the safe element bound"):
+                kernel(A)
+
+    @given(st.integers(2**61 - 2**30, 2**61 + 2**30), st.sets(st.integers(1, 2**40), max_size=6),
+           st.booleans())
+    def test_near_the_element_bound(self, top, gaps, negate):
+        # Sums near 2**62 in magnitude: beyond 2**62 - 1, _trusted refuses.
+        A = make_set(top - g for g in {0, 2**25, *gaps})
+        if negate:
+            A = affine(A, -1, 0)
+        assert intset_module._takes_hash_path(A)
+        assert diffset(A).elements == tuple(sorted(naive_diffset(A)))
+        want = tuple(sorted(naive_sumset(A)))
+        if max(-want[0], want[-1]) > intset_module.SAFE_BOUND:
+            with pytest.raises(ValueError, match="exceeds the safe element bound"):
+                sumset(A)
+        else:
+            assert sumset(A).elements == want
+
 
 def _checks(n, sums):
     """The shift counts k after which the bitset kernel may stop: 8, 16, 32, ...
@@ -619,11 +687,17 @@ class TestStoppingRules:
                 assert kernel(A).elements == want
 
     @given(st.integers(-(2**61) + 4, 2**61 - 4), st.integers(1, 4))
+    # The top sum 2**62 passes the element bound; a fresh database may never draw it.
+    @example(v=2**61 - 4, d=4)
     def test_two_elements(self, v, d):
         # Up to d = 4, |A|^2 is not below the diameter: the bitset path, at step d.
         A = make_set([v, v + d])
         assert not intset_module._takes_hash_path(A)
-        assert sumset(A).elements == (2 * v, 2 * v + d, 2 * v + 2 * d)
+        if 2 * v + 2 * d > intset_module.SAFE_BOUND:
+            with pytest.raises(ValueError, match="exceeds the safe element bound"):
+                sumset(A)
+        else:
+            assert sumset(A).elements == (2 * v, 2 * v + d, 2 * v + 2 * d)
         assert diffset(A).elements == (-d, 0, d)
 
     @pytest.mark.parametrize(
