@@ -511,7 +511,7 @@ class TestMergedHashPath:
     def test_one_and_two_values(self):
         # A singleton has diameter 0 and never hashes, so the merge itself
         # takes one value and no value.
-        assert intset_module._merged([map(int, [7])]) == [7]
+        assert intset_module._merged([[7]]) == [7]
         assert intset_module._merged([[], []]) == []
         self._hashed_exact(make_set([-(2**40), 2**40]))
 
