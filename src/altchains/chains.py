@@ -10,25 +10,28 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .intset import (
     _BITSET_SPAN_LIMIT,
+    _BITSET_WORK_LIMIT,
     _RANGE_LIMIT,
     IntSet,
     SetClass,
     SumDiffProfile,
+    _kernel_work,
     _packed,
+    _Record,
+    _store,
     _trusted,
     diffset,
     sumset,
 )
 
-Witness = Union[int, tuple[int, int], None]
+Witness = int | tuple[int, int] | None
 Failure = tuple[int, str, Witness]
-Appends = Optional[tuple[int, ...]]
+Appends = tuple[int, ...] | None
 
 class MethodTag(enum.Enum):
     METHOD1 = "Method1"
@@ -65,7 +68,7 @@ class _Masks:
         self.lo, self.hi = lo, hi
         self.elems = self.mirror = self.sums = self.diffs = 0
 
-    def advance(self, cur: IntSet, new: Optional[Sequence[int]]) -> None:
+    def advance(self, cur: IntSet, new: Sequence[int] | None) -> None:
         """Move to `cur` by adding `new` to the current set, or rebuild from `cur` if None."""
         lo, hi = self.lo, self.hi
         if new is None:
@@ -87,7 +90,7 @@ class _Masks:
         """|A+A| and |A-A| of the current set A."""
         return self.sums.bit_count(), self.diffs.bit_count()
 
-    def first_missing_sum(self, m: int) -> Optional[int]:
+    def first_missing_sum(self, m: int) -> int | None:
         """The first m+a, a rising through A, that is not in A+A; else None."""
         # m+a sits at bit j+k of `sums` when a is bit j of `elems`.
         k = m - self.lo
@@ -95,7 +98,7 @@ class _Masks:
         gaps = self.elems & ~sums
         return m + self.lo + (gaps & -gaps).bit_length() - 1 if gaps else None
 
-    def first_missing_diff(self, m: int) -> Optional[int]:
+    def first_missing_diff(self, m: int) -> int | None:
         """The first m-a, a rising through A, that is not in A-A; else None."""
         # m-a sits at bit j+k of `diffs` when a is bit j of `mirror`, so the
         # lowest a is the highest bit of the gaps.
@@ -110,20 +113,20 @@ class _Kernel:
     afresh by the kernel: for hulls past the bitset cut, where it takes the hash
     path."""
 
-    def advance(self, cur: IntSet, new: Optional[Sequence[int]]) -> None:
+    def advance(self, cur: IntSet, new: Sequence[int] | None) -> None:
         self.current, self.sums, self.diffs = cur, sumset(cur), diffset(cur)
 
     def counts(self) -> tuple[int, int]:
         return len(self.sums), len(self.diffs)
 
-    def first_missing_sum(self, m: int) -> Optional[int]:
+    def first_missing_sum(self, m: int) -> int | None:
         return next((m + a for a in self.current if m + a not in self.sums), None)
 
-    def first_missing_diff(self, m: int) -> Optional[int]:
+    def first_missing_diff(self, m: int) -> int | None:
         return next((m - a for a in self.current if m - a not in self.diffs), None)
 
 
-def _accumulator(sets: Sequence[IntSet]) -> Union[_Masks, _Kernel]:
+def _accumulator(sets: Sequence[IntSet]) -> _Masks | _Kernel:
     """Masks anchored at the hull of `sets`, or the kernel past the bitset cut."""
     nonempty = [s for s in sets if s]
     lo = min((s.min for s in nonempty), default=0)
@@ -131,27 +134,60 @@ def _accumulator(sets: Sequence[IntSet]) -> Union[_Masks, _Kernel]:
     return _Masks(lo, hi) if hi - lo <= _BITSET_SPAN_LIMIT else _Kernel()
 
 
-@dataclass(frozen=True)
-class Chain:
+def _check_rebuild_work(members: Iterable[IntSet]) -> None:
+    """Refuse, before any is computed, members whose kernel work together
+    passes _BITSET_WORK_LIMIT.
+
+    The count stops at the first member the kernel refuses by itself, so
+    that member's own refusal is raised as before.
+    """
+    total = 0
+    for s in members:
+        work = _kernel_work(s)
+        if work is None:
+            return
+        total += work
+        if total > _BITSET_WORK_LIMIT:
+            raise ValueError(
+                f"rebuilding the chain's members from the kernel exceeds the work "
+                f"limit of {_BITSET_WORK_LIMIT}"
+            )
+
+
+class Chain(_Record):
     """Indexed (1-based) sequence of sets with per-index profiles."""
 
-    sets: tuple[IntSet, ...]
-    method_tag: MethodTag
-    profiles: tuple[SumDiffProfile, ...]
-    # What each member appends to the one before it (_appended); None for the
-    # first member and for every member that does not append.
-    appends: tuple[Appends, ...]
+    # `appends` holds what each member appends to the one before it
+    # (_appended); None for the first member and every member that does not.
+    __slots__ = ("sets", "method_tag", "profiles", "appends")
+
+    def __init__(
+        self,
+        sets: tuple[IntSet, ...],
+        method_tag: MethodTag,
+        profiles: tuple[SumDiffProfile, ...],
+        appends: tuple[Appends, ...],
+    ) -> None:
+        _store(self, "sets", sets)
+        _store(self, "method_tag", method_tag)
+        _store(self, "profiles", profiles)
+        _store(self, "appends", appends)
 
     @classmethod
-    def from_sets(cls, sets: Iterable[IntSet], method_tag: MethodTag) -> "Chain":
+    def from_sets(cls, sets: Iterable[IntSet], method_tag: MethodTag) -> Chain:
         members = tuple(sets)
         if not members:
             raise ValueError("a chain needs at least one set")
         if not all(members):
             raise ValueError("cannot profile the empty set")
         appends = (None, *map(_appended, members, members[1:]))
-        # Each member's profile grows from the previous one's where it appends.
+        # Each member's profile grows from the previous one's where it appends;
+        # the kernel computes the others, and every member past the bitset cut.
         acc = _accumulator(members)
+        if isinstance(acc, _Kernel):
+            _check_rebuild_work(members)
+        else:
+            _check_rebuild_work(s for s, new in zip(members, appends) if new is None)
         profiles = []
         for s, new in zip(members, appends):
             acc.advance(s, new)
@@ -200,18 +236,20 @@ def _grow(
     return Chain.from_sets([_trusted(last[k - b : k + n + a]) for b, a in runs], method_tag)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     """Verdict of a chain check; ok iff no failures were recorded."""
 
-    failures: tuple[Failure, ...]
+    __slots__ = ("failures",)
+
+    def __init__(self, failures: tuple[Failure, ...]) -> None:
+        _store(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     @classmethod
-    def from_failures(cls, failures: Iterable[Failure]) -> "ValidationReport":
+    def from_failures(cls, failures: Iterable[Failure]) -> ValidationReport:
         return cls(tuple(failures))
 
 
@@ -243,19 +281,31 @@ def validate_chain(chain: Chain) -> ValidationReport:
     return ValidationReport.from_failures(failures)
 
 
-@dataclass(frozen=True)
 class GrowthRow(SumDiffProfile):
     """One table row: a member's profile with its index and step ratios."""
 
-    index: int
-    card_ratio: Optional[Fraction]
-    diam_ratio: Optional[Fraction]
+    __slots__ = ("index", "card_ratio", "diam_ratio")
+
+    def __init__(
+        self,
+        card: int,
+        sum_card: int,
+        diff_card: int,
+        diameter: int,
+        index: int,
+        card_ratio: Fraction | None,
+        diam_ratio: Fraction | None,
+    ) -> None:
+        SumDiffProfile.__init__(self, card, sum_card, diff_card, diameter)
+        _store(self, "index", index)
+        _store(self, "card_ratio", card_ratio)
+        _store(self, "diam_ratio", diam_ratio)
 
 
 def growth_table(chain: Chain) -> tuple[GrowthRow, ...]:
     """Per-index growth rows with exact rational ratios (None on row 1)."""
     rows: list[GrowthRow] = []
-    prev: Optional[SumDiffProfile] = None
+    prev: SumDiffProfile | None = None
     for i, p in enumerate(chain.profiles, start=1):
         card_ratio = Fraction(p.card, prev.card) if prev else None
         diam_ratio = Fraction(p.diameter, prev.diameter) if prev and prev.diameter else None
@@ -278,7 +328,7 @@ def growth_rates(chain: Chain) -> tuple[Fraction, Fraction]:
     return card_rate, diam_rate
 
 
-def limiting_density(chain: Chain, probe_index: int) -> tuple[Optional[Fraction], Fraction]:
+def limiting_density(chain: Chain, probe_index: int) -> tuple[Fraction | None, Fraction]:
     """(analytic limit, observed density) at an odd probe position.
 
     The analytic limit is card_rate/diam_rate from growth_rates; it is None
@@ -291,7 +341,7 @@ def limiting_density(chain: Chain, probe_index: int) -> tuple[Optional[Fraction]
     density = chain.profiles[probe_index - 1].density
     if density is None:
         raise ValueError("density undefined at a diameter-0 probe")
-    analytic: Optional[Fraction] = None
+    analytic: Fraction | None = None
     if chain.method_tag is not MethodTag.EXTERNAL:
         card_rate, diam_rate = growth_rates(chain)
         analytic = card_rate / diam_rate

@@ -18,12 +18,11 @@ import enum
 import re
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import compress, islice, repeat
 from math import gcd
 from operator import lt, ne, neg
-from typing import Iterable, Iterator, Optional
 
 # Elements are capped so that a+b always fits a signed 64-bit word.
 SAFE_BOUND = 2**62 - 1
@@ -49,14 +48,59 @@ class SetClass(enum.Enum):
     BALANCED = "Balanced"
 
 
-@dataclass(frozen=True)
-class IntSet:
+# Each record's __init__ stores its fields through this, past the __setattr__
+# that refuses.
+_store = object.__setattr__
+
+
+class _Record:
+    """Immutable value with the fields named by the __slots__ of its class and
+    of the records it extends, in that order.
+
+    A record equals only a record of the same type with equal fields, hashes
+    by its fields, prints as Name(field=value, ...), refuses assignment and
+    deletion, and pickles and copies through its constructor.  Each subclass
+    writes its own __init__, storing every field with _store.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(f for c in reversed(cls.__mro__) for f in vars(c).get("__slots__", ()))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), self._values()
+
+
+class IntSet(_Record):
     """Finite set of integers, stored sorted and deduplicated."""
 
-    elements: tuple[int, ...] = ()
+    __slots__ = ("elements",)
 
-    def __post_init__(self) -> None:
-        el = self.elements
+    def __init__(self, elements: tuple[int, ...] = ()) -> None:
+        el = elements
         if type(el) is not tuple:
             raise TypeError(
                 f"IntSet stores a tuple, got {type(el).__name__}; use make_set for other iterables"
@@ -64,14 +108,14 @@ class IntSet:
         # C-level pass for the common case: plain ints, strictly increasing,
         # whose extremes are in bounds.  Anything else (int subclasses too)
         # goes through the loop, which accepts or names the first fault.
-        if not el or (
+        if el and not (
             set(map(type, el)) == {int}
             and -SAFE_BOUND <= el[0]
             and el[-1] <= SAFE_BOUND
             and all(map(lt, el, islice(el, 1, None)))
         ):
-            return
-        _check_elements(el)
+            _check_elements(el)
+        _store(self, "elements", el)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -133,7 +177,7 @@ def _trusted(elements: tuple[int, ...]) -> IntSet:
     if elements and (elements[0] < -SAFE_BOUND or elements[-1] > SAFE_BOUND):
         _check_elements(elements)
     result = object.__new__(IntSet)
-    object.__setattr__(result, "elements", elements)
+    _store(result, "elements", elements)
     return result
 
 
@@ -297,6 +341,19 @@ def _takes_hash_path(A: IntSet, name: str = "A") -> bool:
     return False
 
 
+def _kernel_work(A: IntSet) -> int | None:
+    """The work of sumset(A) and of diffset(A) on nonempty A: |A|^2 on the
+    hash path, |A|*(diameter+1) on the bitset path; None if they refuse A."""
+    try:
+        hashed = _takes_hash_path(A)
+    except ValueError:
+        return None
+    # Past these the sums or the differences leave the element bound.
+    if 2 * max(A.max, -A.min) > SAFE_BOUND or A.diameter > SAFE_BOUND:
+        return None
+    return len(A) * len(A) if hashed else len(A) * (A.diameter + 1)
+
+
 def sumset(A: IntSet) -> IntSet:
     """The set {a+b : a, b in A}."""
     if not A:
@@ -345,17 +402,19 @@ def _class_from_counts(sum_card: int, diff_card: int) -> SetClass:
     return SetClass.BALANCED
 
 
-@dataclass(frozen=True)
-class SumDiffProfile:
+class SumDiffProfile(_Record):
     """Cardinality statistics of a set together with its sumset and diffset."""
 
-    card: int
-    sum_card: int
-    diff_card: int
-    diameter: int
+    __slots__ = ("card", "sum_card", "diff_card", "diameter")
+
+    def __init__(self, card: int, sum_card: int, diff_card: int, diameter: int) -> None:
+        _store(self, "card", card)
+        _store(self, "sum_card", sum_card)
+        _store(self, "diff_card", diff_card)
+        _store(self, "diameter", diameter)
 
     @property
-    def density(self) -> Optional[Fraction]:
+    def density(self) -> Fraction | None:
         """card/diameter as an exact rational; None at diameter 0."""
         return Fraction(self.card, self.diameter) if self.diameter else None
 
@@ -379,7 +438,7 @@ def residue_count(A: IntSet, n: int) -> int:
     return len({v % n for v in A.elements})
 
 
-def format_density(value: Optional[Fraction]) -> str:
+def format_density(value: Fraction | None) -> str:
     """A nonnegative rational to 3 decimals, ties rounding up, or N/A when it is
     undefined (None): a density at diameter 0, or a ratio with no previous row."""
     if value is None:

@@ -12,15 +12,12 @@ ever filled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chains import Chain, MethodTag, _grow
 from .intset import IntSet, SetClass, _class_from_counts, diffset, residue_count, sumset
-from .intset import _takes_hash_path
+from .intset import _Record, _store, _takes_hash_path
 
 
-@dataclass(frozen=True)
-class Method1Params:
+class Method1Params(_Record):
     """Counters behind the two admissibility conditions for (base, n).
 
     x counts a in base with n+a outside base+base; y counts b in base with
@@ -28,12 +25,17 @@ class Method1Params:
     diffset mod n; cond2 asks 2y-x-1 to beat the sum-difference gap.
     """
 
-    x: int
-    y: int
-    sum_residues: int
-    diff_residues: int
-    cond1: bool
-    cond2: bool
+    __slots__ = ("x", "y", "sum_residues", "diff_residues", "cond1", "cond2")
+
+    def __init__(
+        self, x: int, y: int, sum_residues: int, diff_residues: int, cond1: bool, cond2: bool
+    ) -> None:
+        _store(self, "x", x)
+        _store(self, "y", y)
+        _store(self, "sum_residues", sum_residues)
+        _store(self, "diff_residues", diff_residues)
+        _store(self, "cond1", cond1)
+        _store(self, "cond2", cond2)
 
     @property
     def valid(self) -> bool:

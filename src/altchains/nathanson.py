@@ -14,13 +14,13 @@ A*+A*, while every difference it creates was already present.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .intset import (
     _RANGE_LIMIT,
     IntSet,
     SetClass,
     _class_from_counts,
+    _Record,
+    _store,
     affine,
     diffset,
     interval,
@@ -29,14 +29,16 @@ from .intset import (
 )
 
 
-@dataclass(frozen=True)
-class NathansonParams:
+class NathansonParams(_Record):
     """Validated (m, d, k) with its base A; B, L, a* and A* derive from them."""
 
-    m: int
-    d: int
-    k: int
-    A: IntSet
+    __slots__ = ("m", "d", "k", "A")
+
+    def __init__(self, m: int, d: int, k: int, A: IntSet) -> None:
+        _store(self, "m", m)
+        _store(self, "d", d)
+        _store(self, "k", k)
+        _store(self, "A", A)
 
 
 def k_min(m: int, d: int) -> int:

@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+import altchains.chains
+
 from altchains import (
     Chain,
     MethodTag,
     SetClass,
+    affine,
     generate_chain_m1,
     generate_chain_m2,
     generate_chain_m3,
@@ -47,6 +50,58 @@ class TestChainContainer:
             m1_chain.set_at(0)
         with pytest.raises(IndexError):
             m1_chain.set_at(8)
+
+
+class TestRebuildWork:
+    """Chain.from_sets adds up, before computing any, the kernel work of the
+    members it rebuilds: the first, each that does not append, and all of
+    them past the bitset cut."""
+
+    LIMIT_MESSAGE = "rebuilding the chain's members from the kernel exceeds the work limit of {}"
+
+    def _refused(self, members, limit, monkeypatch):
+        monkeypatch.setattr(altchains.chains, "_BITSET_WORK_LIMIT", limit)
+        with pytest.raises(ValueError, match=self.LIMIT_MESSAGE.format(limit)):
+            Chain.from_sets(members, MethodTag.EXTERNAL)
+
+    def test_only_rebuilt_members_are_charged(self, conway, monkeypatch):
+        # Conway's set costs 8 * 15 = 120; the members that append cost nothing.
+        chain = generate_chain_m1(conway, 17, 9)
+        monkeypatch.setattr(altchains.chains, "_BITSET_WORK_LIMIT", 120)
+        assert Chain.from_sets(chain.sets, MethodTag.METHOD1).profiles == chain.profiles
+        self._refused(chain.sets, 119, monkeypatch)
+
+    def test_each_member_that_does_not_append_is_charged(self, monkeypatch):
+        # 0..9 costs 10 * 10; 0..9 without 5 costs 9 * 10.
+        full, holed = make_set(range(10)), make_set(set(range(10)) - {5})
+        members = [full, holed, full, holed]
+        monkeypatch.setattr(altchains.chains, "_BITSET_WORK_LIMIT", 380)
+        assert len(Chain.from_sets(members, MethodTag.EXTERNAL)) == 4
+        self._refused(members, 379, monkeypatch)
+
+    def test_every_member_is_charged_past_the_bitset_cut(self, conway, monkeypatch):
+        # Dilated past 2**24, each member takes the hash path: |A|^2 apiece.
+        wide = [affine(s, 2**22, 0) for s in generate_chain_m1(conway, 17, 3).sets]
+        assert [len(s) for s in wide] == [8, 9, 16]
+        monkeypatch.setattr(altchains.chains, "_BITSET_WORK_LIMIT", 64 + 81 + 256)
+        assert len(Chain.from_sets(wide, MethodTag.EXTERNAL)) == 3
+        self._refused(wide, 64 + 81 + 255, monkeypatch)
+
+    def test_a_member_the_kernel_refuses_keeps_its_own_message(self, monkeypatch):
+        # The count stops at 1..399999, whose own refusal is raised as before,
+        # though the member after it would pass the limit.
+        members = [make_set(range(1000)), make_set(range(1, 400000)), make_set(range(1000))]
+        monkeypatch.setattr(altchains.chains, "_BITSET_WORK_LIMIT", 10**6)
+        with pytest.raises(ValueError, match=r"\|A\| = 399999 is too large"):
+            Chain.from_sets(members, MethodTag.EXTERNAL)
+        self._refused(members, 10**6 - 1, monkeypatch)
+
+    def test_a_member_past_the_element_bound_keeps_its_own_message(self, monkeypatch):
+        # The sum 2**61 + 2**61 passes the element bound; the count stops there.
+        members = [make_set([2**61 - 1, 2**61]), make_set(range(1000))]
+        monkeypatch.setattr(altchains.chains, "_BITSET_WORK_LIMIT", 10)
+        with pytest.raises(ValueError, match=r"\|4611686018427387904\| exceeds the safe"):
+            Chain.from_sets(members, MethodTag.EXTERNAL)
 
 
 class TestValidateChain:

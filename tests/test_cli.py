@@ -7,13 +7,16 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import altchains.chains
 import altchains.cli
 import altchains.intset
 import altchains.nathanson
-from altchains import CONWAY_SET, MethodTag, generate_chain_m1
+from altchains import CONWAY_SET, MethodTag, generate_chain_m1, parse_set_literal
 from altchains.cli import (
+    _parse_line,
     chain_to_text,
     main,
     paper_chain,
@@ -317,6 +320,86 @@ class TestChainVerbAndFiles:
         assert main(["verify", "--file", str(path)]) == 2
         assert "line 8: chain file holds more than 100 values" in capsys.readouterr().err
 
+    def test_hostile_rebuilds_refused_before_any(self, capsys, monkeypatch, tmp_path):
+        # Every member drops or restores 500 inside the hull, so each is
+        # rebuilt from the kernel: 200 members of 10**6 work each.
+        full = ",".join(map(str, range(1000)))
+        holed = ",".join(str(v) for v in range(1000) if v != 500)
+        path = tmp_path / "hostile.txt"
+        path.write_text("# method=External base=0\n" + f"{full}\n{holed}\n" * 100)
+        monkeypatch.setattr(altchains.chains, "_BITSET_WORK_LIMIT", 10**7)
+        began = time.perf_counter()
+        assert main(["verify", "--file", str(path)]) == 2
+        assert time.perf_counter() - began < 1
+        assert capsys.readouterr() == ("", (
+            "error: rebuilding the chain's members from the kernel exceeds the work "
+            "limit of 10000000\n"
+        ))
+
+
+def _outcome(parse, line):
+    """The IntSet that parse gives for line, or the text of its ValueError."""
+    try:
+        return parse(line)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Plain lines, as chain_to_text writes them, with values past the element bound.
+_PLAIN_LINES = st.lists(st.integers(-(2**63), 2**63), min_size=1, max_size=20).map(
+    lambda vs: ",".join(map(str, vs))
+)
+# Lines near the plain form: ranges, spaces, signs, stray separators and
+# non-ASCII digits, as free text and as plain tokens mixed with near-misses.
+_NEAR_PLAIN_LINES = st.one_of(
+    st.text(alphabet="0123456789-,.+ _\t\u0663\uff11x", max_size=30),
+    st.lists(
+        st.one_of(
+            st.integers(-(10**6), 10**6).map(str),
+            st.sampled_from(["+5", " 3", "4 ", "1..3", "\u0663", "", "1_0", "--1", "-", "5.0"]),
+        ),
+        min_size=1,
+        max_size=6,
+    ).map(",".join),
+)
+
+
+class TestChainLineReader:
+    """_parse_line reads plain lines at C speed and hands every other line to
+    parse_set_literal; on every line it answers exactly as parse_set_literal."""
+
+    @given(st.one_of(_PLAIN_LINES, _NEAR_PLAIN_LINES))
+    @example("0,2,3,4,7,11,12,14")
+    @example("7,0,7,-0,007")
+    @example("1..3")
+    @example(" 0,2")
+    @example("0,,2")
+    @example("-")
+    @example("\u0663,1")
+    @example("9" * 5000)
+    @example(f"{2**62},0")
+    def test_matches_parse_set_literal(self, line):
+        assert _outcome(_parse_line, line) == _outcome(parse_set_literal, line)
+
+    def test_plain_lines_skip_parse_set_literal(self, monkeypatch):
+        text = chain_to_text(generate_chain_m1(CONWAY_SET, 17, 7), 17)
+        expected = parse_chain_text(text)
+
+        def refuse(line):
+            raise AssertionError(f"plain line {line!r} reached parse_set_literal")
+
+        monkeypatch.setattr(altchains.cli, "parse_set_literal", refuse)
+        assert parse_chain_text(text) == expected
+
+    def test_value_cap_per_line(self, monkeypatch):
+        monkeypatch.setattr(altchains.intset, "_RANGE_LIMIT", 100)
+        monkeypatch.setattr(altchains.cli, "_RANGE_LIMIT", 100)
+        for n in (99, 100, 101, 150):
+            line = ",".join(map(str, range(n)))
+            assert _outcome(_parse_line, line) == _outcome(parse_set_literal, line)
+        with pytest.raises(ValueError, match="set literal holds more than 100 values"):
+            _parse_line(",".join(["0"] * 101))
+
 
 class TestScanParams:
     def test_sweep_to_m8(self, capsys):
@@ -404,6 +487,15 @@ class TestPublicSurface:
         proc = self._run(["-m", "altchains.cli", "classify", "--set=0,2,3,4,7,11,12,14"],
                          tmp_path)
         assert (proc.returncode, proc.stdout) == (0, "MSTD 26 25\n"), proc.stderr
+
+    def test_import_leaves_heavy_modules_out(self, tmp_path):
+        # -S keeps site's own imports out, so sys.modules shows the package's.
+        script = (
+            "import sys, altchains.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'pathlib', 'typing'} & set(sys.modules)))\n"
+        )
+        proc = self._run(["-S", "-c", script], tmp_path)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
     @pytest.mark.parametrize("seed", ["0", "1", "12345"])
     def test_repeated_fresh_imports(self, tmp_path, seed):

@@ -8,8 +8,6 @@ reference that does not use it: `profile()` per member, a naive pairwise chain
 check, or the double-loop oracles in conftest.
 """
 
-import dataclasses
-
 import altchains.chains as chains
 
 import pytest
@@ -20,6 +18,7 @@ from altchains import (
     CONWAY_SET,
     Chain,
     MethodTag,
+    NathansonParams,
     affine,
     build_base,
     generate_chain_m1,
@@ -258,7 +257,7 @@ class TestWideHull:
         wide = Chain.from_sets(
             [affine(s, self.SCALE, 0) for s in broken.sets], MethodTag.METHOD2
         )
-        wide_params = dataclasses.replace(params, m=params.m * self.SCALE)
+        wide_params = NathansonParams(params.m * self.SCALE, params.d, params.k, params.A)
         scaled = [
             (i, name, w * self.SCALE if isinstance(w, int) else w)
             for i, name, w in verify_star_identities(params, broken).failures
