@@ -134,24 +134,32 @@ def _accumulator(sets: Sequence[IntSet]) -> _Masks | _Kernel:
     return _Masks(lo, hi) if hi - lo <= _BITSET_SPAN_LIMIT else _Kernel()
 
 
-def _check_rebuild_work(members: Iterable[IntSet]) -> None:
-    """Refuse, before any is computed, members whose kernel work together
-    passes _BITSET_WORK_LIMIT.
+def _check_work(members: Sequence[IntSet], appends: Sequence[Appends], hull: int | None) -> None:
+    """Refuse, before any is computed, members whose work together passes
+    _BITSET_WORK_LIMIT.
 
-    The count stops at the first member the kernel refuses by itself, so
-    that member's own refusal is raised as before.
+    On masks of `hull`+1 bits, a member that appends k elements costs
+    k*(hull+1), one shift-OR of each mask per element; every other member,
+    and every member past the bitset cut (hull None), costs the kernel's work.
+    The count stops at the first member the kernel refuses by itself, so that
+    member's own refusal is raised as before.
     """
-    total = 0
-    for s in members:
-        work = _kernel_work(s)
+    rebuilt = range(len(members)) if hull is None else [
+        i for i, new in enumerate(appends) if new is None]
+    total, stop = 0, len(members)
+    for i in rebuilt:
+        work = _kernel_work(members[i])
         if work is None:
-            return
+            stop = i
+            break
         total += work
-        if total > _BITSET_WORK_LIMIT:
-            raise ValueError(
-                f"rebuilding the chain's members from the kernel exceeds the work "
-                f"limit of {_BITSET_WORK_LIMIT}"
-            )
+    if hull is not None:
+        total += (hull + 1) * sum(map(len, filter(None, appends[:stop])))
+    if total > _BITSET_WORK_LIMIT:
+        raise ValueError(
+            f"rebuilding the chain's members from the kernel exceeds the work "
+            f"limit of {_BITSET_WORK_LIMIT}"
+        )
 
 
 class Chain(_Record):
@@ -184,10 +192,7 @@ class Chain(_Record):
         # Each member's profile grows from the previous one's where it appends;
         # the kernel computes the others, and every member past the bitset cut.
         acc = _accumulator(members)
-        if isinstance(acc, _Kernel):
-            _check_rebuild_work(members)
-        else:
-            _check_rebuild_work(s for s, new in zip(members, appends) if new is None)
+        _check_work(members, appends, acc.hi - acc.lo if isinstance(acc, _Masks) else None)
         profiles = []
         for s, new in zip(members, appends):
             acc.advance(s, new)

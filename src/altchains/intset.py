@@ -10,6 +10,13 @@ positive differences) as rising rows, one per element, and merges the sorted
 rows, dropping repeats; it serves sets so sparse that |A|^2 is below their
 diameter.  The naive double-loop enumeration lives in the test suite as
 an independent oracle.
+
+A result counts before it unpacks.  The bitset kernel's sumset and diffset,
+and the hash kernel's diffset, return an IntSet that holds the mask (or the
+positive differences) and the count, and builds its tuple only when its
+elements are first read (_Pending).  So len(sumset(A)) and len(diffset(A)),
+all that classify and profile need, create no element; every other use reads
+the elements as before.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import enum
 import re
 from bisect import bisect_left, bisect_right
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import compress, islice, repeat
 from math import gcd
@@ -95,7 +102,11 @@ class _Record:
 
 
 class IntSet(_Record):
-    """Finite set of integers, stored sorted and deduplicated."""
+    """Finite set of integers, stored sorted and deduplicated.
+
+    It equals any IntSet with the same elements, a kernel result not yet
+    unpacked too, and pickles and copies as an IntSet.
+    """
 
     __slots__ = ("elements",)
 
@@ -116,6 +127,16 @@ class IntSet(_Record):
         ):
             _check_elements(el)
         _store(self, "elements", el)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntSet):
+            return NotImplemented
+        return self.elements == other.elements
+
+    __hash__ = _Record.__hash__
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return IntSet, (self.elements,)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -158,6 +179,40 @@ class IntSet(_Record):
         return IntSet(self.elements[i:j])
 
 
+# The slot itself, which _Pending's property of the same name hides.
+_ELEMENTS = IntSet.elements
+
+
+class _Pending(IntSet):
+    """A kernel result whose elements are unpacked when first read.
+
+    Its `elements` slot holds [count, unpack].  len() and bool() answer from
+    the count.  The first read of .elements stores unpack()'s tuple in the
+    slot, then makes the object a plain IntSet, so later reads are slot
+    reads.  Another thread that finds a tuple there in between uses it.
+    """
+
+    __slots__ = ()
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        state = _ELEMENTS.__get__(self)
+        if type(state) is tuple:
+            return state
+        el = state[1]()
+        _ELEMENTS.__set__(self, el)
+        _store(self, "__class__", IntSet)
+        return el
+
+    def __len__(self) -> int:
+        state = _ELEMENTS.__get__(self)
+        return len(state) if type(state) is tuple else state[0]
+
+    def __bool__(self) -> bool:
+        # Only the results of nonempty sets are pending, and they are nonempty.
+        return True
+
+
 def _check_elements(elements: Iterable[int]) -> None:
     """Raise on the first element that is not an int, out of bounds or out of order."""
     prev = None
@@ -178,6 +233,16 @@ def _trusted(elements: tuple[int, ...]) -> IntSet:
         _check_elements(elements)
     result = object.__new__(IntSet)
     _store(result, "elements", elements)
+    return result
+
+
+def _deferred(count: int, lo: int, hi: int, unpack: Callable[[], tuple[int, ...]]) -> IntSet:
+    """IntSet of the `count` kernel outputs unpack() returns, from lo to hi,
+    left pending.  Outputs past SAFE_BOUND are unpacked and refused at once."""
+    if lo < -SAFE_BOUND or hi > SAFE_BOUND:
+        return _trusted(unpack())
+    result = object.__new__(_Pending)
+    _ELEMENTS.__set__(result, [count, unpack])
     return result
 
 
@@ -362,7 +427,13 @@ def sumset(A: IntSet) -> IntSet:
     if _takes_hash_path(A):
         return _trusted(tuple(_merged(map(a.__add__, el[i:]) for i, a in enumerate(el))))
     offsets, g = _scaled_offsets(el)
-    return _trusted(_unpack(_sum_mask(offsets), 2 * A.min, g))
+    mask, base = _sum_mask(offsets), 2 * A.min
+    return _deferred(mask.bit_count(), base, 2 * A.max, lambda: _unpack(mask, base, g))
+
+
+def _mirrored(positive: Sequence[int]) -> tuple[int, ...]:
+    """The difference set, symmetric about 0, whose positive part is `positive`."""
+    return (*map(neg, reversed(positive)), 0, *positive)
 
 
 def diffset(A: IntSet) -> IntSet:
@@ -374,10 +445,12 @@ def diffset(A: IntSet) -> IntSet:
     if _takes_hash_path(A):
         # b.__rsub__(a) is a-b, for each a above b.
         positive = _merged(map(b.__rsub__, el[i + 1 :]) for i, b in enumerate(el))
+        count, unpack = len(positive), lambda: _mirrored(positive)
     else:
         offsets, g = _scaled_offsets(el)
-        positive = _unpack(_diff_mask(offsets) >> 1, g, g)
-    return _trusted((*map(neg, reversed(positive)), 0, *positive))
+        mask = _diff_mask(offsets) >> 1
+        count, unpack = mask.bit_count(), lambda: _mirrored(_unpack(mask, g, g))
+    return _deferred(2 * count + 1, -A.diameter, A.diameter, unpack)
 
 
 def affine(A: IntSet, x: int, y: int) -> IntSet:

@@ -54,8 +54,8 @@ class TestChainContainer:
 
 class TestRebuildWork:
     """Chain.from_sets adds up, before computing any, the kernel work of the
-    members it rebuilds: the first, each that does not append, and all of
-    them past the bitset cut."""
+    members it rebuilds (the first, each that does not append, and all of
+    them past the bitset cut) and the mask work of each appended element."""
 
     LIMIT_MESSAGE = "rebuilding the chain's members from the kernel exceeds the work limit of {}"
 
@@ -64,12 +64,30 @@ class TestRebuildWork:
         with pytest.raises(ValueError, match=self.LIMIT_MESSAGE.format(limit)):
             Chain.from_sets(members, MethodTag.EXTERNAL)
 
-    def test_only_rebuilt_members_are_charged(self, conway, monkeypatch):
-        # Conway's set costs 8 * 15 = 120; the members that append cost nothing.
+    def test_appended_elements_are_charged_per_element(self, conway, monkeypatch):
+        # Conway's set costs 8 * 15 = 120.  The other members append 32
+        # elements in all, each shifting masks of hull 0..82: 32 * 83 = 2656.
         chain = generate_chain_m1(conway, 17, 9)
-        monkeypatch.setattr(altchains.chains, "_BITSET_WORK_LIMIT", 120)
+        assert sum(map(len, chain.appends[1:])) == 32 and chain.sets[-1].diameter == 82
+        monkeypatch.setattr(altchains.chains, "_BITSET_WORK_LIMIT", 120 + 2656)
         assert Chain.from_sets(chain.sets, MethodTag.METHOD1).profiles == chain.profiles
-        self._refused(chain.sets, 119, monkeypatch)
+        self._refused(chain.sets, 120 + 2655, monkeypatch)
+
+    def test_long_append_refused_before_any_mask_work(self, monkeypatch):
+        # {0} costs 1; then 0..N-1 appends N-1 elements to a hull of N bits,
+        # which took quadratic time uncharged.
+        n = 200_000
+        members = [make_set([0]), make_set(range(n))]
+
+        def no_mask_work(*args):
+            raise AssertionError("mask work before the refusal")
+
+        monkeypatch.setattr(altchains.chains._Masks, "advance", no_mask_work)
+        self._refused(members, 1 + (n - 1) * n - 1, monkeypatch)
+        monkeypatch.undo()
+        monkeypatch.setattr(altchains.chains, "_BITSET_WORK_LIMIT", 1 + 999 * 1000)
+        small = Chain.from_sets([make_set([0]), make_set(range(1000))], MethodTag.EXTERNAL)
+        assert small.profiles[-1].sum_card == 1999
 
     def test_each_member_that_does_not_append_is_charged(self, monkeypatch):
         # 0..9 costs 10 * 10; 0..9 without 5 costs 9 * 10.
@@ -95,6 +113,14 @@ class TestRebuildWork:
         with pytest.raises(ValueError, match=r"\|A\| = 399999 is too large"):
             Chain.from_sets(members, MethodTag.EXTERNAL)
         self._refused(members, 10**6 - 1, monkeypatch)
+
+    def test_appends_after_a_refused_member_are_not_charged(self, monkeypatch):
+        # 0..999 costs 10**6, at the limit.  The kernel refuses 1..399999 by
+        # itself, so what the member after it appends is never reached.
+        members = [make_set(range(1000)), make_set(range(1, 400000)), make_set(range(1, 400010))]
+        monkeypatch.setattr(altchains.chains, "_BITSET_WORK_LIMIT", 10**6)
+        with pytest.raises(ValueError, match=r"\|A\| = 399999 is too large"):
+            Chain.from_sets(members, MethodTag.EXTERNAL)
 
     def test_a_member_past_the_element_bound_keeps_its_own_message(self, monkeypatch):
         # The sum 2**61 + 2**61 passes the element bound; the count stops there.

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -767,6 +769,154 @@ class TestProperties:
         assert d % 2 == 1
         assert 2 * n - 1 <= s <= n * (n + 1) // 2
         assert 2 * n - 1 <= d <= n * (n - 1) + 1
+
+
+
+# Sets for the pending-result tests.  Bitset path: up to 40 values of 0..60,
+# dense enough to pack, at a common step g and any base, or near -+2**61, where the sums reach the
+# element bound's edge.  Hash path: unions of short progressions, shifted.
+bitset_sets = st.builds(
+    lambda values, g, base: make_set(base + g * v for v in values),
+    st.sets(st.integers(0, 60), min_size=1, max_size=40),
+    st.integers(1, 7),
+    st.one_of(st.integers(-(10**6), 10**6), st.just(-(2**61) + 1),
+              st.integers(2**61 - 10**4, 2**61 - 7 * 60 - 1)),
+).filter(lambda A: not intset_module._takes_hash_path(A))
+hashed_sets = st.builds(lambda A, shift: affine(A, 1, shift),
+                        progression_unions, st.integers(-(10**12), 10**12))
+
+
+def _is_pending(X):
+    return type(X) is intset_module._Pending
+
+
+class TestPendingResults:
+    """A kernel result not yet unpacked behaves as the IntSet of the double
+    loop's answer in every use; each use below starts from a fresh result."""
+
+    def _like(self, kernel, naive, A):
+        want = IntSet(tuple(sorted(naive(A))))
+        fresh = lambda: kernel(A)  # noqa: E731
+        pending = not (kernel is sumset and intset_module._takes_hash_path(A))
+        assert _is_pending(fresh()) == pending
+        # len and bool answer from the count and leave the result pending.
+        X = fresh()
+        assert len(X) == len(want) and bool(X)
+        assert _is_pending(X) == pending
+        assert list(fresh()) == list(want)
+        assert fresh().elements == want.elements
+        probes = {*want.elements[:3], *want.elements[-3:], want.min - 1, want.max + 1,
+                  (want.min + want.max) // 2, (want.min + want.max) // 2 + 1}
+        for v in probes:
+            assert (v in fresh()) == (v in want)
+        assert (fresh().min, fresh().max, fresh().diameter) == (want.min, want.max, want.diameter)
+        mid = (want.min + want.max) // 2
+        assert fresh().within(want.min, mid) == want.within(want.min, mid)
+        assert fresh().without(want.max) == want.without(want.max)
+        assert fresh().without(want.max + 1) == want
+        assert fresh().union([want.max + 1]) == want.union([want.max + 1])
+        assert fresh() == want and want == fresh() and fresh() == fresh()
+        assert not (fresh() != want) and not (want != fresh())
+        other = want.without(want.max)
+        assert fresh() != other and other != fresh()
+        assert hash(fresh()) == hash(want)
+        assert repr(fresh()) == repr(want)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(fresh(), protocol)
+            assert data == pickle.dumps(want, protocol)
+            back = pickle.loads(data)
+            assert type(back) is IntSet and back == want
+        for copier in (copy.copy, copy.deepcopy):
+            twin = copier(fresh())
+            assert type(twin) is IntSet and twin == want
+        # Once read, the result is a plain IntSet.
+        X = fresh()
+        X.elements
+        assert type(X) is IntSet and X == want and len(X) == len(want)
+
+    @given(bitset_sets)
+    @settings(max_examples=40, deadline=None)
+    def test_bitset_path(self, A):
+        assert not intset_module._takes_hash_path(A)
+        self._like(sumset, naive_sumset, A)
+        self._like(diffset, naive_diffset, A)
+
+    @given(hashed_sets)
+    @settings(max_examples=20, deadline=None)
+    def test_hash_path(self, A):
+        assert intset_module._takes_hash_path(A)
+        self._like(sumset, naive_sumset, A)
+        self._like(diffset, naive_diffset, A)
+
+    @pytest.mark.parametrize("v", [0, -5, 2**61 - 1, -(2**61) + 1])
+    def test_singletons(self, v):
+        A = make_set([v])
+        self._like(sumset, naive_sumset, A)
+        self._like(diffset, naive_diffset, A)
+        assert diffset(A) == IntSet((0,)) and len(diffset(A)) == 1
+
+    def test_conway_at_a_step_of_three(self, conway):
+        A = affine(conway, 3, -7)
+        assert len(sumset(A)) == 26 and len(diffset(A)) == 25
+        self._like(sumset, naive_sumset, A)
+        self._like(diffset, naive_diffset, A)
+
+    def test_a_reader_between_the_two_stores_sees_the_tuple(self, conway):
+        # The first read stores the tuple, then changes the class; a thread
+        # that runs in between finds the tuple in the slot.
+        X = sumset(conway)
+        want = tuple(sorted(naive_sumset(conway)))
+        intset_module._ELEMENTS.__set__(X, want)
+        assert _is_pending(X)
+        assert len(X) == 26 and X.elements == want and 29 not in X
+
+    @pytest.mark.parametrize("values", [
+        [2**61 - 1, 2**61, 2**61 + 1],  # bitset path
+        [-(2**61) - 1, -(2**61), -(2**61) + 1],
+        [2**61 - 2**40, 2**61],  # hash path
+    ])
+    def test_sum_past_the_bound_refused_at_the_call(self, values):
+        # The message names the first sum past the bound, as the element
+        # check does on the full tuple.
+        A = make_set(values)
+        with pytest.raises(ValueError) as want:
+            intset_module._check_elements(sorted(naive_sumset(A)))
+        with pytest.raises(ValueError) as got:
+            sumset(A)
+        assert str(got.value) == str(want.value)
+
+
+class TestCountsWithoutUnpacking:
+    """profile and classify read only the counts: no element is created."""
+
+    def _refuse(self, monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError(f"{name} called")
+
+        monkeypatch.setattr(intset_module, name, refuse)
+
+    @pytest.mark.parametrize("literal", [
+        "0,2,3,4,7,11,12,14",
+        "0..15,40..49,100..115",
+        "-300..-200,0..2499,5000..7499",
+    ])
+    def test_bitset_path(self, literal, monkeypatch):
+        A = parse_set_literal(literal)
+        assert not intset_module._takes_hash_path(A)
+        sums, diffs = _naive_counts(A)
+        self._refuse(monkeypatch, "_unpack")
+        assert classify(A) is profile(A).set_class
+        p = profile(A)
+        assert (p.sum_card, p.diff_card) == (sums, diffs)
+        assert classify(affine(A, 5, 3)) is p.set_class
+
+    def test_hash_path_diffset_mirror(self, monkeypatch):
+        A = parse_set_literal("0..4,100000000..100000004,300000007")
+        assert intset_module._takes_hash_path(A)
+        self._refuse(monkeypatch, "_mirrored")
+        p = profile(A)
+        assert (p.sum_card, p.diff_card) == _naive_counts(A) == (38, 47)
+        assert classify(A) is SetClass.MDTS
 
 
 # Run apart from the test session, whose imported classes must stay in place.
