@@ -5,24 +5,27 @@ and difference sets are computed by one of two kernels.  The bitset kernel
 translates the set to start at offset 0, divides the offsets by their common
 step, packs them into one Python int, and shifts/ORs it once per element, but
 stops as soon as the shifts left to do can set no new bit (see _sum_mask and
-_diff_mask).  The hash kernel lists the sums a+b with a <= b (or the
-positive differences) as rising rows, one per element, and merges the sorted
-rows, dropping repeats; it serves sets so sparse that |A|^2 is below their
-diameter.  The naive double-loop enumeration lives in the test suite as
-an independent oracle.
+_diff_mask).  The hash kernel serves sets so sparse that |A|^2 is below
+their diameter.  It makes the sums a+b with a <= b (or the positive
+differences) as rising rows, one per element, each by a few big-int
+operations on 64-bit fields packed into one int (_pair_rows).  It counts
+the rows' distinct values through a set, and merges the sorted rows,
+dropping repeats, only to list them.  The naive double-loop enumeration
+lives in the test suite as an independent oracle.
 
-A result counts before it unpacks.  The bitset kernel's sumset and diffset,
-and the hash kernel's diffset, return an IntSet that holds the mask (or the
-positive differences) and the count, and builds its tuple only when its
-elements are first read (_Pending).  So len(sumset(A)) and len(diffset(A)),
-all that classify and profile need, create no element; every other use reads
-the elements as before.
+A result counts before it unpacks.  sumset and diffset return an IntSet
+that holds the count, or on the hash path a function that takes it on the
+first len(), and builds its tuple only when its elements are first read
+(_Pending).  So len(sumset(A)) and len(diffset(A)), all that classify and
+profile need, list no element on either path; every other use reads the
+elements as before.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -186,10 +189,12 @@ _ELEMENTS = IntSet.elements
 class _Pending(IntSet):
     """A kernel result whose elements are unpacked when first read.
 
-    Its `elements` slot holds [count, unpack].  len() and bool() answer from
-    the count.  The first read of .elements stores unpack()'s tuple in the
-    slot, then makes the object a plain IntSet, so later reads are slot
-    reads.  Another thread that finds a tuple there in between uses it.
+    Its `elements` slot holds [count, unpack], where count is the number of
+    elements or a function that returns it.  len() and bool() answer from the
+    count; the first len() calls the function and keeps its answer.  The
+    first read of .elements stores unpack()'s tuple in the slot, then makes
+    the object a plain IntSet, so later reads are slot reads.  Another thread
+    that finds a tuple there in between uses it.
     """
 
     __slots__ = ()
@@ -206,7 +211,12 @@ class _Pending(IntSet):
 
     def __len__(self) -> int:
         state = _ELEMENTS.__get__(self)
-        return len(state) if type(state) is tuple else state[0]
+        if type(state) is tuple:
+            return len(state)
+        count = state[0]
+        if type(count) is not int:
+            count = state[0] = count()
+        return count
 
     def __bool__(self) -> bool:
         # Only the results of nonempty sets are pending, and they are nonempty.
@@ -236,9 +246,12 @@ def _trusted(elements: tuple[int, ...]) -> IntSet:
     return result
 
 
-def _deferred(count: int, lo: int, hi: int, unpack: Callable[[], tuple[int, ...]]) -> IntSet:
+def _deferred(
+    count: int | Callable[[], int], lo: int, hi: int, unpack: Callable[[], tuple[int, ...]]
+) -> IntSet:
     """IntSet of the `count` kernel outputs unpack() returns, from lo to hi,
-    left pending.  Outputs past SAFE_BOUND are unpacked and refused at once."""
+    left pending; `count` may be a function that returns it.  Outputs past
+    SAFE_BOUND are unpacked and refused at once."""
     if lo < -SAFE_BOUND or hi > SAFE_BOUND:
         return _trusted(unpack())
     result = object.__new__(_Pending)
@@ -380,9 +393,70 @@ def _merged(rows: Iterable[Iterable[int]]) -> list[int]:
     return distinct
 
 
+def _distinct(rows: Iterable[Iterable[int]]) -> int:
+    """The number of distinct values in `rows`."""
+    seen: set[int] = set()
+    for row in rows:
+        seen.update(row)
+    return len(seen)
+
+
+# Field j of a packed row is bits 64j .. 64j+63 of one int.  array lays its
+# items out in native byte order: on a big-endian machine item 0 would be the
+# top field, so there the items are reversed to keep item j in field j.
+_BIG_ENDIAN = sys.byteorder == "big"
+
+# Sums are packed as a + 2**62, in [1, 2**63 - 1] for |a| <= SAFE_BOUND.
+_SUM_BIAS = 1 << 62
+
+
+def _pair_rows(el: tuple[int, ...], diff: bool) -> Iterator[Sequence[int]]:
+    """The rising rows of A's pair sums, a + A[i:] for each element a = A[i];
+    with `diff`, of its positive differences, A[i+1:] - a.
+
+    The elements are packed one 64-bit field each into one int, so a few
+    big-int operations make a whole row, none of which carries or borrows
+    across a field.  A sum field holds (a + 2**62) + (b + 2**62) =
+    a + b + 2**63, in [2, 2**64 - 2]; flipping its top bit leaves a + b in
+    two's complement.  A difference field holds (b - min A) - (a - min A)
+    with b above a, in [1, 2**63).
+    """
+    # Imported here, not with the module, so that a process that never takes
+    # the hash path, as most CLI calls do not, never loads it.
+    from array import array
+
+    def pack(values: Iterable[int]) -> int:
+        fields = array("Q", values)
+        if _BIG_ENDIAN:
+            fields.reverse()
+        return int.from_bytes(fields, sys.byteorder)
+
+    def read(packed: int, count: int) -> array:
+        row = array("q", packed.to_bytes(8 * count, sys.byteorder))
+        if _BIG_ENDIAN:
+            row.reverse()
+        return row
+
+    n = len(el)
+    ones = pack(repeat(1, n))
+    if diff:
+        lo = el[0]
+        packed = pack(map(lo.__rsub__, el))
+        # The row of a = el[i-1] takes the fields of el[i:].
+        for i, a in enumerate(el, 1):
+            ones >>= 64
+            yield read((packed >> 64 * i) - (a - lo) * ones, n - i)
+    else:
+        packed = pack(map(_SUM_BIAS.__add__, el))
+        for i, a in enumerate(el):
+            yield read(((packed >> 64 * i) + (a + _SUM_BIAS) * ones) ^ (ones << 63), n - i)
+            ones >>= 64
+
+
 def _takes_hash_path(A: IntSet, name: str = "A") -> bool:
-    """Whether the kernel takes the hash path, merging A's pair rows, rather
-    than packing a bitset.
+    """Whether the kernel takes the hash path, making A's pair sums and
+    differences as packed rows, counted through a set and merged only when
+    read, rather than packing a bitset.
 
     Past the span cut it must, and refuses more than _PAIR_LIMIT pairs.
     Below it, the rows win when the pairs number fewer than the diameter, and
@@ -425,10 +499,14 @@ def sumset(A: IntSet) -> IntSet:
         return IntSet()
     el = A.elements
     if _takes_hash_path(A):
-        return _trusted(tuple(_merged(map(a.__add__, el[i:]) for i, a in enumerate(el))))
-    offsets, g = _scaled_offsets(el)
-    mask, base = _sum_mask(offsets), 2 * A.min
-    return _deferred(mask.bit_count(), base, 2 * A.max, lambda: _unpack(mask, base, g))
+        # Counted through a set, merged only when the elements are read.
+        count = lambda: _distinct(_pair_rows(el, False))
+        unpack = lambda: tuple(_merged(_pair_rows(el, False)))
+    else:
+        offsets, g = _scaled_offsets(el)
+        mask, base = _sum_mask(offsets), 2 * A.min
+        count, unpack = mask.bit_count(), lambda: _unpack(mask, base, g)
+    return _deferred(count, 2 * A.min, 2 * A.max, unpack)
 
 
 def _mirrored(positive: Sequence[int]) -> tuple[int, ...]:
@@ -443,14 +521,13 @@ def diffset(A: IntSet) -> IntSet:
     el = A.elements
     # Only the positive differences are found; the rest is their mirror.
     if _takes_hash_path(A):
-        # b.__rsub__(a) is a-b, for each a above b.
-        positive = _merged(map(b.__rsub__, el[i + 1 :]) for i, b in enumerate(el))
-        count, unpack = len(positive), lambda: _mirrored(positive)
+        count = lambda: 2 * _distinct(_pair_rows(el, True)) + 1
+        unpack = lambda: _mirrored(_merged(_pair_rows(el, True)))
     else:
         offsets, g = _scaled_offsets(el)
         mask = _diff_mask(offsets) >> 1
-        count, unpack = mask.bit_count(), lambda: _mirrored(_unpack(mask, g, g))
-    return _deferred(2 * count + 1, -A.diameter, A.diameter, unpack)
+        count, unpack = 2 * mask.bit_count() + 1, lambda: _mirrored(_unpack(mask, g, g))
+    return _deferred(count, -A.diameter, A.diameter, unpack)
 
 
 def affine(A: IntSet, x: int, y: int) -> IntSet:

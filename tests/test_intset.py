@@ -525,6 +525,27 @@ class TestMergedHashPath:
             with pytest.raises(ValueError, match="exceeds the safe element bound"):
                 kernel(A)
 
+    def test_widest_pair_refused_with_its_message(self):
+        A = make_set([-intset_module.SAFE_BOUND, intset_module.SAFE_BOUND])
+        assert intset_module._takes_hash_path(A)
+        fault = rf"^\|{-(2**63 - 2)}\| exceeds the safe element bound 2\*\*62-1$"
+        for fn in (sumset, diffset, profile, classify):
+            with pytest.raises(ValueError, match=fault):
+                fn(A)
+
+    @given(st.sets(st.integers(-intset_module.SAFE_BOUND, intset_module.SAFE_BOUND),
+                   min_size=1, max_size=12))
+    @example({-intset_module.SAFE_BOUND, intset_module.SAFE_BOUND})
+    @example({-intset_module.SAFE_BOUND, -intset_module.SAFE_BOUND + 1, 0})
+    def test_rows_at_any_element(self, values):
+        # The packed fields hold every sum and difference of elements within
+        # the bound, even those past it that the kernel then refuses.
+        el = tuple(sorted(values))
+        sums = [list(row) for row in intset_module._pair_rows(el, False)]
+        diffs = [list(row) for row in intset_module._pair_rows(el, True)]
+        assert sums == [[a + b for b in el[i:]] for i, a in enumerate(el)]
+        assert diffs == [[b - a for b in el[i + 1 :]] for i, a in enumerate(el)]
+
     @given(st.integers(2**61 - 2**30, 2**61 + 2**30), st.sets(st.integers(1, 2**40), max_size=6),
            st.booleans())
     def test_near_the_element_bound(self, top, gaps, negate):
@@ -774,7 +795,9 @@ class TestProperties:
 
 # Sets for the pending-result tests.  Bitset path: up to 40 values of 0..60,
 # dense enough to pack, at a common step g and any base, or near -+2**61, where the sums reach the
-# element bound's edge.  Hash path: unions of short progressions, shifted.
+# element bound's edge.  Hash path: unions of short progressions, shifted; progressions dilated
+# far apart, whose |A|(|A|+1)/2 pair sums take only 2|A| - 1 values; and values of both signs
+# near -+(2**61 - 1), whose sums reach -+(2**62 - 2).
 bitset_sets = st.builds(
     lambda values, g, base: make_set(base + g * v for v in values),
     st.sets(st.integers(0, 60), min_size=1, max_size=40),
@@ -782,8 +805,16 @@ bitset_sets = st.builds(
     st.one_of(st.integers(-(10**6), 10**6), st.just(-(2**61) + 1),
               st.integers(2**61 - 10**4, 2**61 - 7 * 60 - 1)),
 ).filter(lambda A: not intset_module._takes_hash_path(A))
-hashed_sets = st.builds(lambda A, shift: affine(A, 1, shift),
-                        progression_unions, st.integers(-(10**12), 10**12))
+_EDGE = 2**61 - 1
+hashed_sets = st.one_of(
+    st.builds(lambda A, shift: affine(A, 1, shift),
+              progression_unions, st.integers(-(10**12), 10**12)),
+    st.builds(lambda length, step, shift: affine(interval(0, length - 1), step, shift),
+              st.integers(2, 40), st.integers(2**25, 2**40), st.integers(-(10**15), 10**15)),
+    st.builds(lambda low, high: make_set([*(g - _EDGE for g in low), *(_EDGE - g for g in high)]),
+              st.sets(st.integers(0, 2**40), min_size=1, max_size=8),
+              st.sets(st.integers(0, 2**40), min_size=1, max_size=8)),
+)
 
 
 def _is_pending(X):
@@ -797,12 +828,13 @@ class TestPendingResults:
     def _like(self, kernel, naive, A):
         want = IntSet(tuple(sorted(naive(A))))
         fresh = lambda: kernel(A)  # noqa: E731
-        pending = not (kernel is sumset and intset_module._takes_hash_path(A))
-        assert _is_pending(fresh()) == pending
-        # len and bool answer from the count and leave the result pending.
+        assert _is_pending(fresh())
+        # len and bool answer from the count and leave the result pending;
+        # the elements read after them are the double loop's.
         X = fresh()
         assert len(X) == len(want) and bool(X)
-        assert _is_pending(X) == pending
+        assert _is_pending(X)
+        assert X.elements == want.elements and len(X) == len(want)
         assert list(fresh()) == list(want)
         assert fresh().elements == want.elements
         probes = {*want.elements[:3], *want.elements[-3:], want.min - 1, want.max + 1,
@@ -842,7 +874,7 @@ class TestPendingResults:
         self._like(diffset, naive_diffset, A)
 
     @given(hashed_sets)
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_hash_path(self, A):
         assert intset_module._takes_hash_path(A)
         self._like(sumset, naive_sumset, A)
@@ -909,6 +941,31 @@ class TestCountsWithoutUnpacking:
         p = profile(A)
         assert (p.sum_card, p.diff_card) == (sums, diffs)
         assert classify(affine(A, 5, 3)) is p.set_class
+
+    @pytest.mark.parametrize("literal", [
+        "0..4,100000000..100000004,300000007",
+        "0,200000000,300000000,400000000,700000000,1100000000,1200000000,1400000000",
+        "-700000000000000000,-500000000000000000,-400000000000000000,-300000000000000000,"
+        "0,400000000000000000,500000000000000000,700000000000000000",
+    ])
+    def test_hash_path(self, literal, monkeypatch):
+        A = parse_set_literal(literal)
+        assert intset_module._takes_hash_path(A)
+        sums, diffs = _naive_counts(A)
+        self._refuse(monkeypatch, "_merged")
+        p = profile(A)
+        assert (p.card, p.sum_card, p.diff_card, p.diameter) == (len(A), sums, diffs, A.diameter)
+        assert classify(A) is p.set_class
+
+    def test_hash_path_at_size(self, monkeypatch):
+        # A Sidon set (Erdos and Turan): its pair sums, and its positive
+        # differences, are all distinct.
+        A = make_set(2**20 * (2 * 1021 * i + i * i % 1021) for i in range(300))
+        assert intset_module._takes_hash_path(A)
+        self._refuse(monkeypatch, "_merged")
+        p = profile(A)
+        assert (p.sum_card, p.diff_card) == (300 * 301 // 2, 300 * 299 + 1)
+        assert classify(A) is SetClass.MDTS
 
     def test_hash_path_diffset_mirror(self, monkeypatch):
         A = parse_set_literal("0..4,100000000..100000004,300000007")
