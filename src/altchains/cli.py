@@ -8,7 +8,6 @@ ratio cells print as N/A.  Output sticks to ASCII.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from collections.abc import Sequence
 
@@ -16,12 +15,10 @@ from .chains import Chain, GrowthRow, MethodTag, growth_table, validate_chain
 from .intset import (
     _RANGE_LIMIT,
     CONWAY_SET,
-    IntSet,
     _class_from_counts,
     diffset,
     format_density,
     format_set_literal,
-    make_set,
     parse_set_literal,
     profile,
     sumset,
@@ -44,8 +41,6 @@ MARKDOWN_HEADER = (
 CSV_HEADER = "set,sumcard,diffcard,card,diameter,card_ratio,diam_ratio,density"
 # `verify` refuses chain files longer than this before parsing them.
 _FILE_BYTES_LIMIT = 1 << 28
-# A chain-file line of plain comma-separated ints, as chain_to_text writes.
-_PLAIN_LINE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 
 def _cells(row: GrowthRow) -> tuple[str, ...]:
@@ -88,20 +83,9 @@ def chain_to_text(chain: Chain, n: int | None = None) -> str:
     return "\n".join([head] + [format_set_literal(s) for s in chain.sets]) + "\n"
 
 
-def _parse_line(line: str) -> IntSet:
-    """parse_set_literal(line), at C speed on a plain line under its value cap.
-
-    Every other line, ranges, spaces, non-ASCII digits, bad tokens and lines
-    of too many values, goes through parse_set_literal, which accepts or
-    refuses it as ever.
-    """
-    if line.count(",") < _RANGE_LIMIT and _PLAIN_LINE.fullmatch(line):
-        return make_set(map(int, line.split(",")))
-    return parse_set_literal(line)
-
-
 def parse_chain_text(text: str) -> Chain:
-    """Parse the chain file format written by chain_to_text."""
+    """Parse the chain file format written by chain_to_text; each set line is
+    read by parse_set_literal, as a --set literal is."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# method="):
         raise ValueError("chain file must start with a '# method=...' header")
@@ -117,7 +101,7 @@ def parse_chain_text(text: str) -> Chain:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             raise ValueError(f"line {lineno}: empty set line in chain file")
-        sets.append(_parse_line(line))
+        sets.append(parse_set_literal(line))
         total += len(sets[-1])
         if total > _RANGE_LIMIT:
             raise ValueError(f"line {lineno}: chain file holds more than {_RANGE_LIMIT} values")
@@ -277,6 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # argparse takes a separate `-7,0,5` for an option, so it is joined to its --set.
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--set" and argv[i][:1] == "-" and argv[i][1:2].isdecimal():
+            argv[i - 1 : i + 1] = [f"--set={argv[i]}"]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -602,17 +602,25 @@ def format_density(value: Fraction | None) -> str:
 
 # One value, or the inclusive range a..b.
 _TOKEN = re.compile(r"(-?\d+)(?:\.\.(-?\d+))?")
+# Plain comma-separated ASCII ints, as format_set_literal writes.
+_PLAIN = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 _RANGE_LIMIT = 1 << 24
 
 
 def parse_set_literal(text: str) -> IntSet:
-    """Parse `-7,0,5,8,15` style literals; `a..b` is the inclusive interval."""
+    """Parse `-7,0,5,8,15` style literals; `a..b` is the inclusive interval.
+
+    A plain literal, as format_set_literal writes, is read by one split and
+    an int per value, any other token by token, with the same result.
+    """
     body = text.strip()
     if not body:
         return IntSet()
     # Every token holds at least one value, so count them before splitting.
     if body.count(",") >= _RANGE_LIMIT:
         raise ValueError(f"set literal holds more than {_RANGE_LIMIT} values")
+    if _PLAIN.fullmatch(body):
+        return make_set(map(int, body.split(",")))
     values: list[int] = []
     for token in body.split(","):
         tok = token.strip()

@@ -47,7 +47,8 @@ def _base_counts(A: IntSet) -> tuple[IntSet, IntSet]:
     if not A or A.min != 0:
         raise ValueError("base must contain 0 as its minimum element")
     sums, diffs = sumset(A), diffset(A)
-    if _class_from_counts(len(sums), len(diffs)) is not SetClass.MSTD:
+    # The callers read the elements; a len() before that runs a second count.
+    if _class_from_counts(len(sums.elements), len(diffs.elements)) is not SetClass.MSTD:
         raise ValueError("base must be sum-dominated")
     return sums, diffs
 

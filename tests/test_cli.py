@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -16,7 +17,6 @@ import altchains.intset
 import altchains.nathanson
 from altchains import CONWAY_SET, MethodTag, generate_chain_m1, parse_set_literal
 from altchains.cli import (
-    _parse_line,
     chain_to_text,
     main,
     paper_chain,
@@ -364,9 +364,21 @@ _NEAR_PLAIN_LINES = st.one_of(
 )
 
 
+# A pattern that matches nothing: patched in for intset._PLAIN, it sends
+# every literal through parse_set_literal's token loop.
+_NEVER = re.compile(r"(?!)")
+
+
+def _token_loop(line):
+    """_outcome(parse_set_literal, line) with the plain path shut off."""
+    with mock.patch.object(altchains.intset, "_PLAIN", _NEVER):
+        return _outcome(parse_set_literal, line)
+
+
 class TestChainLineReader:
-    """_parse_line reads plain lines at C speed and hands every other line to
-    parse_set_literal; on every line it answers exactly as parse_set_literal."""
+    """parse_set_literal, the one reader of --set literals and chain-file
+    lines, reads a plain literal at C speed and every other one token by
+    token; on every literal its plain path answers as the token loop does."""
 
     @given(st.one_of(_PLAIN_LINES, _NEAR_PLAIN_LINES))
     @example("0,2,3,4,7,11,12,14")
@@ -379,26 +391,34 @@ class TestChainLineReader:
     @example("9" * 5000)
     @example(f"{2**62},0")
     def test_matches_parse_set_literal(self, line):
-        assert _outcome(_parse_line, line) == _outcome(parse_set_literal, line)
+        assert _outcome(parse_set_literal, line) == _token_loop(line)
 
-    def test_plain_lines_skip_parse_set_literal(self, monkeypatch):
+    def test_plain_lines_skip_parse_set_literal(self, monkeypatch, capsys):
+        # Plain chain-file lines and a plain --set literal never reach the
+        # token loop; a range does.
         text = chain_to_text(generate_chain_m1(CONWAY_SET, 17, 7), 17)
         expected = parse_chain_text(text)
 
-        def refuse(line):
-            raise AssertionError(f"plain line {line!r} reached parse_set_literal")
+        class Refuse:
+            def fullmatch(self, token):
+                raise AssertionError(f"token {token!r} reached the token loop")
 
-        monkeypatch.setattr(altchains.cli, "parse_set_literal", refuse)
+        monkeypatch.setattr(altchains.intset, "_TOKEN", Refuse())
         assert parse_chain_text(text) == expected
+        assert main(["classify", "--set", "-7,0,5,8,15"]) == 0
+        assert capsys.readouterr().out == "MDTS 14 17\n"
+        with pytest.raises(AssertionError, match="reached the token loop"):
+            parse_set_literal("0..3")
 
     def test_value_cap_per_line(self, monkeypatch):
         monkeypatch.setattr(altchains.intset, "_RANGE_LIMIT", 100)
-        monkeypatch.setattr(altchains.cli, "_RANGE_LIMIT", 100)
         for n in (99, 100, 101, 150):
             line = ",".join(map(str, range(n)))
-            assert _outcome(_parse_line, line) == _outcome(parse_set_literal, line)
+            assert _outcome(parse_set_literal, line) == _token_loop(line)
         with pytest.raises(ValueError, match="set literal holds more than 100 values"):
-            _parse_line(",".join(["0"] * 101))
+            parse_set_literal(",".join(["0"] * 101))
+        with pytest.raises(ValueError, match="set literal holds more than 100 values"):
+            parse_chain_text("# method=Method3\n" + ",".join(["0"] * 101) + "\n")
 
 
 class TestScanParams:
@@ -539,3 +559,28 @@ class TestUsage:
 
     def test_unknown_verb(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "verb, literal, out, err",
+        [
+            ("classify", "-7,0,5,8,15", "MDTS 14 17\n", ""),
+            ("classify", "-3..-1,5", "MDTS 9 11\n", ""),
+            ("profile", "-7,0,5,8,15",
+             "card=5 sumcard=14 diffcard=17 diameter=22 density=0.227\n", ""),
+            ("search-modulus", "-7,0,5,8,15", "",
+             "error: base must contain 0 as its minimum element\n"),
+        ],
+    )
+    def test_negative_set_literal_either_way(self, capsys, verb, literal, out, err):
+        # A separate literal that starts with a minus sign is joined to its --set.
+        for argv in ([verb, "--set", literal], [verb, f"--set={literal}"]):
+            assert main(argv) == (2 if err else 0)
+            assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--set", "-h"],
+        ["chain", "--method", "1", "--set", "--n", "17", "--steps", "1"],
+    ])
+    def test_set_before_an_option_still_lacks_its_value(self, capsys, argv):
+        assert main(argv) == 2
+        assert "argument --set: expected one argument" in capsys.readouterr().err

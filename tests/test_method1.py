@@ -9,6 +9,8 @@ import altchains.intset
 import altchains.method1
 from altchains import (
     CONWAY_SET,
+    Chain,
+    MethodTag,
     SetClass,
     affine,
     analyze_modulus,
@@ -89,6 +91,30 @@ class TestOneKernelPass:
         # The base's pass, then the chain seeding its first member.
         generate_chain_m1(conway, 17, 7)
         assert sumset_calls == [8, 8]
+
+    def test_wide_base_is_merged_not_counted(self, monkeypatch):
+        # Past the span cut len() would count the pair sums through a set; the
+        # base's sums and differences are read, so only their merge runs.
+        def refuse(rows):
+            raise AssertionError("a hash-path count ran")
+        monkeypatch.setattr(altchains.intset, "_distinct", refuse)
+        wide = affine(CONWAY_SET, 10**8, 0)
+        assert search_moduli(wide) == [17 * 10**8, 18 * 10**8, 20 * 10**8]
+        assert analyze_modulus(wide, 17 * 10**8).valid
+
+    def test_wide_chain_counts_only_its_members(self, monkeypatch):
+        # The chain's profiles count each member; the base adds no count.
+        counts = []
+        original = altchains.intset._distinct
+        def counted(rows):
+            counts.append(1)
+            return original(rows)
+        monkeypatch.setattr(altchains.intset, "_distinct", counted)
+        chain = generate_chain_m1(affine(CONWAY_SET, 10**8, 0), 17 * 10**8, 3)
+        built = len(counts)
+        counts.clear()
+        Chain.from_sets(chain.sets, MethodTag.METHOD1)
+        assert built == len(counts) > 0
 
     def test_error_order(self):
         # A missing zero before a base that is not MSTD, before a small modulus.
