@@ -23,7 +23,6 @@ from .intset import (
     _kernel_work,
     _packed,
     _Record,
-    _store,
     _trusted,
     diffset,
     sumset,
@@ -41,14 +40,14 @@ class MethodTag(enum.Enum):
 
 
 def _appended(prev: IntSet, cur: IntSet) -> Appends:
-    """The elements `cur` adds outside the hull of nonempty `prev`, or None.
+    """The elements `cur` adds outside the hull of `prev`, or None.
 
     Not None exactly when prev is a proper subset of cur and no element of cur
     falls inside [min(prev), max(prev)] without being in prev: then prev sits
     in cur as one contiguous run, and cur adds only elements below and above.
     """
     old, new, n = prev.elements, cur.elements, len(prev)
-    i = bisect_left(new, old[0])
+    i = bisect_left(new, old[0]) if old else 0
     if len(new) > n and new[i : i + n] == old:
         return new[:i] + new[i + n :]
     return None
@@ -165,30 +164,27 @@ def _check_work(members: Sequence[IntSet], appends: Sequence[Appends], hull: int
 class Chain(_Record):
     """Indexed (1-based) sequence of sets with per-index profiles."""
 
-    # `appends` holds what each member appends to the one before it
+    # `appends` holds what each member appends to the one before it, sorted
     # (_appended); None for the first member and every member that does not.
     __slots__ = ("sets", "method_tag", "profiles", "appends")
 
-    def __init__(
-        self,
-        sets: tuple[IntSet, ...],
-        method_tag: MethodTag,
-        profiles: tuple[SumDiffProfile, ...],
-        appends: tuple[Appends, ...],
-    ) -> None:
-        _store(self, "sets", sets)
-        _store(self, "method_tag", method_tag)
-        _store(self, "profiles", profiles)
-        _store(self, "appends", appends)
-
     @classmethod
     def from_sets(cls, sets: Iterable[IntSet], method_tag: MethodTag) -> Chain:
+        """The chain of `sets`, comparing each member once with the one before
+        to find what it appends.  Raises ValueError on no set, an empty set, or
+        members whose profiles together pass the work limit."""
         members = tuple(sets)
+        return cls._profiled(members, (None, *map(_appended, members, members[1:])), method_tag)
+
+    @classmethod
+    def _profiled(
+        cls, members: tuple[IntSet, ...], appends: tuple[Appends, ...], method_tag: MethodTag
+    ) -> Chain:
+        """The chain of `members`, which append `appends` as _appended gives them."""
         if not members:
             raise ValueError("a chain needs at least one set")
         if not all(members):
             raise ValueError("cannot profile the empty set")
-        appends = (None, *map(_appended, members, members[1:]))
         # Each member's profile grows from the previous one's where it appends;
         # the kernel computes the others, and every member past the bitset cut.
         acc = _accumulator(members)
@@ -215,16 +211,18 @@ def _grow(
     """The `steps`-member chain from `first` whose member j+1 is member j plus new_at(j).
 
     Each step appends below and above the previous hull, so every member is
-    one contiguous run of the last member: only the last is built and
-    checked, which raises ValueError on an append inside a hull or a repeated
-    element.  Members that would hold more than _RANGE_LIMIT elements
-    together, the bound set literals have, are refused before any is built.
+    one contiguous run of the last member and appends its step's new elements
+    (None if there are none): only the last is built and checked, which
+    raises ValueError on an append inside a hull or a repeated element.
+    Members that would hold more than _RANGE_LIMIT elements together, the
+    bound set literals have, are refused before any is built.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     below: list[int] = []  # falling, as appended
     above: list[int] = []
     runs = [(0, 0)]  # (len(below), len(above)) at each member
+    appends: list[Appends] = [None]
     size = total = len(first)
     for j in range(1, steps):
         new = sorted(new_at(j))
@@ -232,22 +230,21 @@ def _grow(
         below.extend(reversed(new[:i]))
         above.extend(new[i:])
         runs.append((len(below), len(above)))
+        appends.append(tuple(new) or None)
         size += len(new)
         total += size
         if total > _RANGE_LIMIT:
             raise ValueError(f"a chain of {steps} steps holds more than {_RANGE_LIMIT} elements")
     last = IntSet((*reversed(below), *first, *above)).elements
     k, n = len(below), len(first)
-    return Chain.from_sets([_trusted(last[k - b : k + n + a]) for b, a in runs], method_tag)
+    members = tuple([_trusted(last[k - b : k + n + a]) for b, a in runs])
+    return Chain._profiled(members, tuple(appends), method_tag)
 
 
 class ValidationReport(_Record):
     """Verdict of a chain check; ok iff no failures were recorded."""
 
     __slots__ = ("failures",)
-
-    def __init__(self, failures: tuple[Failure, ...]) -> None:
-        _store(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
@@ -290,21 +287,6 @@ class GrowthRow(SumDiffProfile):
     """One table row: a member's profile with its index and step ratios."""
 
     __slots__ = ("index", "card_ratio", "diam_ratio")
-
-    def __init__(
-        self,
-        card: int,
-        sum_card: int,
-        diff_card: int,
-        diameter: int,
-        index: int,
-        card_ratio: Fraction | None,
-        diam_ratio: Fraction | None,
-    ) -> None:
-        SumDiffProfile.__init__(self, card, sum_card, diff_card, diameter)
-        _store(self, "index", index)
-        _store(self, "card_ratio", card_ratio)
-        _store(self, "diam_ratio", diam_ratio)
 
 
 def growth_table(chain: Chain) -> tuple[GrowthRow, ...]:

@@ -261,11 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # argparse takes a separate `-7,0,5` for an option, so it is joined to its --set.
+    # argparse takes a separate `-7,0,5` for an option, so it is joined to its --set or --se.
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] == "--set" and argv[i][:1] == "-" and argv[i][1:2].isdecimal():
-            argv[i - 1 : i + 1] = [f"--set={argv[i]}"]
+        opt, value = argv[i - 1], argv[i]
+        if len(opt) > 2 and "--set".startswith(opt) and value[:1] == "-" and value[1:2].isdecimal():
+            argv[i - 1 : i + 1] = [f"{opt}={value}"]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -58,8 +58,7 @@ class SetClass(enum.Enum):
     BALANCED = "Balanced"
 
 
-# Each record's __init__ stores its fields through this, past the __setattr__
-# that refuses.
+# Stores an attribute past the __setattr__ that refuses.
 _store = object.__setattr__
 
 
@@ -67,17 +66,35 @@ class _Record:
     """Immutable value with the fields named by the __slots__ of its class and
     of the records it extends, in that order.
 
+    It is built from all its fields in that order, by position or by keyword.
     A record equals only a record of the same type with equal fields, hashes
     by its fields, prints as Name(field=value, ...), refuses assignment and
-    deletion, and pickles and copies through its constructor.  Each subclass
-    writes its own __init__, storing every field with _store.
+    deletion, and pickles and copies through its constructor.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        cls._fields = tuple(f for c in reversed(cls.__mro__) for f in vars(c).get("__slots__", ()))
+        slots = [(c, f) for c in reversed(cls.__mro__) for f in vars(c).get("__slots__", ())]
+        cls._fields = tuple(f for _, f in slots)
+        # Each slot's own setter, which passes the __setattr__ that refuses.
+        cls._setters = tuple(vars(c)[f].__set__ for c, f in slots)
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self._fields
+        if named or len(values) != len(fields):
+            # A field missing, unknown or given twice is refused before any is stored.
+            given = dict(zip(fields, values))
+            twice = [f for f in named if f in given or f not in fields]
+            given.update(named)
+            missing = [f for f in fields if f not in given]
+            if len(values) > len(fields) or twice or missing:
+                got = f"{len(values)} by position and {', '.join(named) or 'none'} by keyword"
+                raise TypeError(f"{type(self).__qualname__} takes {', '.join(fields)}; got {got}")
+            values = [given[f] for f in fields]
+        for store, v in zip(self._setters, values):
+            store(self, v)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -556,12 +573,6 @@ class SumDiffProfile(_Record):
     """Cardinality statistics of a set together with its sumset and diffset."""
 
     __slots__ = ("card", "sum_card", "diff_card", "diameter")
-
-    def __init__(self, card: int, sum_card: int, diff_card: int, diameter: int) -> None:
-        _store(self, "card", card)
-        _store(self, "sum_card", sum_card)
-        _store(self, "diff_card", diff_card)
-        _store(self, "diameter", diameter)
 
     @property
     def density(self) -> Fraction | None:

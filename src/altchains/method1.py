@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .chains import Chain, MethodTag, _grow
 from .intset import IntSet, SetClass, _class_from_counts, diffset, residue_count, sumset
-from .intset import _Record, _store, _takes_hash_path
+from .intset import _Record, _takes_hash_path
 
 
 class Method1Params(_Record):
@@ -26,16 +26,6 @@ class Method1Params(_Record):
     """
 
     __slots__ = ("x", "y", "sum_residues", "diff_residues", "cond1", "cond2")
-
-    def __init__(
-        self, x: int, y: int, sum_residues: int, diff_residues: int, cond1: bool, cond2: bool
-    ) -> None:
-        _store(self, "x", x)
-        _store(self, "y", y)
-        _store(self, "sum_residues", sum_residues)
-        _store(self, "diff_residues", diff_residues)
-        _store(self, "cond1", cond1)
-        _store(self, "cond2", cond2)
 
     @property
     def valid(self) -> bool:
@@ -61,14 +51,8 @@ def _evaluate(A: IntSet, n: int, sums: IntSet, diffs: IntSet) -> Method1Params:
     y = sum(1 for b in A if n - b not in diffs)
     sum_residues = residue_count(sums, n)
     diff_residues = residue_count(diffs, n)
-    return Method1Params(
-        x=x,
-        y=y,
-        sum_residues=sum_residues,
-        diff_residues=diff_residues,
-        cond1=sum_residues == diff_residues,
-        cond2=2 * y - x - 1 > len(sums) - len(diffs),
-    )
+    cond2 = 2 * y - x - 1 > len(sums) - len(diffs)
+    return Method1Params(x, y, sum_residues, diff_residues, sum_residues == diff_residues, cond2)
 
 
 def analyze_modulus(A: IntSet, n: int) -> Method1Params:

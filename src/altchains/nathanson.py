@@ -20,7 +20,6 @@ from .intset import (
     SetClass,
     _class_from_counts,
     _Record,
-    _store,
     affine,
     diffset,
     interval,
@@ -33,12 +32,6 @@ class NathansonParams(_Record):
     """Validated (m, d, k) with its base A; B, L, a* and A* derive from them."""
 
     __slots__ = ("m", "d", "k", "A")
-
-    def __init__(self, m: int, d: int, k: int, A: IntSet) -> None:
-        _store(self, "m", m)
-        _store(self, "d", d)
-        _store(self, "k", k)
-        _store(self, "A", A)
 
 
 def k_min(m: int, d: int) -> int:
@@ -80,7 +73,7 @@ def build_base(m: int, d: int, k: int) -> NathansonParams:
     if 2 * m not in S or 2 * m in sumset(A_star):
         raise RuntimeError(f"self-check failed: 2m not a fresh sum for (m={m}, d={d}, k={k})")
 
-    return NathansonParams(m=m, d=d, k=k, A=A)
+    return NathansonParams(m, d, k, A)
 
 
 def check_interval_lemma(m: int, r: int) -> bool:

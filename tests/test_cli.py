@@ -584,3 +584,14 @@ class TestUsage:
     def test_set_before_an_option_still_lacks_its_value(self, capsys, argv):
         assert main(argv) == 2
         assert "argument --set: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--se", "--s"])
+    def test_negative_set_literal_after_an_abbreviation(self, capsys, option):
+        # argparse accepts abbreviations of --set, so they take a separate literal too.
+        assert main(["classify", option, "-7,0,5,8,15"]) == 0
+        assert capsys.readouterr() == ("MDTS 14 17\n", "")
+
+    def test_ambiguous_abbreviation_still_refused(self, capsys):
+        # In `chain`, --s could be --set or --steps.
+        assert main(["chain", "--method", "1", "--s", "-7,0,5,8,15", "--n", "17"]) == 2
+        assert "ambiguous option: --s" in capsys.readouterr().err

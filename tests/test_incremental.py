@@ -153,7 +153,8 @@ class TestGeneratedChains:
         assert seeded == [sets[0], sets[20]]
 
     def test_nesting_found_once(self, monkeypatch):
-        # Profiling, validation and the star check all read chain.appends, and
+        # The generator hands the chain its appends, so no pair is compared;
+        # profiling, validation and the star check all read chain.appends, and
         # the star check seeds only the first core from the kernel.
         calls, seeded = [], []
         appended = chains._appended
@@ -163,7 +164,7 @@ class TestGeneratedChains:
         monkeypatch.setattr(chains, "sumset", lambda A: seeded.append(A) or sumset(A))
         assert validate_chain(chain).ok
         assert verify_star_identities(params, chain).ok
-        assert len(calls) == len(chain) - 1
+        assert calls == []
         assert seeded == [chain.set_at(1).without(params.m)]
 
 
@@ -231,6 +232,41 @@ class TestStarIdentities:
         assert chain.appends == (None, (4,), (40,))
         failures = verify_star_identities(params, chain).failures
         assert list(failures) == naive_star_failures(params.m, chain)
+
+
+class TestGrownAppends:
+    """Generators hand their chain the appends `_grow` computed: the chain is the
+    one `Chain.from_sets` derives from the same members, with no pair compared."""
+
+    @pytest.mark.parametrize("build", [
+        *GENERATED,
+        *(pytest.param(lambda s=s: generate_chain_m1(CONWAY_SET, 18, s), id=f"m1-n18-{s}")
+          for s in (1, 2, 7)),
+        *(pytest.param(lambda s=s: generate_chain_m3(s), id=f"m3-{s}") for s in (1, 2, 7)),
+        pytest.param(lambda: generate_chain_m1(affine(CONWAY_SET, 10**8, 0), 17 * 10**8, 7),
+                     id="m1-wide"),
+        *(pytest.param(lambda s=s: generate_chain_m2(build_base(8, 2, 3), s), id=f"m2-8-2-3-{s}")
+          for s in (1, 2, 7)),
+    ])
+    def test_generated_equals_from_sets(self, build, monkeypatch):
+        def refuse(*pair):
+            raise AssertionError("a generated chain compared a pair of members")
+        with monkeypatch.context() as patch:
+            patch.setattr(chains, "_appended", refuse)
+            chain = build()
+        assert chain.appends == (None, *map(chains._appended, chain.sets, chain.sets[1:]))
+        assert chain == Chain.from_sets(chain.sets, chain.method_tag)
+
+    def test_empty_step_appends_none(self):
+        chain = chains._grow(
+            CONWAY_SET, lambda j: () if j == 2 else (20 * j,), 4, MethodTag.EXTERNAL
+        )
+        assert chain.appends == (None, (20,), None, (60,))
+        rebuilt = Chain.from_sets(chain.sets, MethodTag.EXTERNAL)
+        assert chain == rebuilt
+        failures = validate_chain(chain).failures
+        assert (3, "strict-inclusion", None) in failures
+        assert failures == validate_chain(rebuilt).failures
 
 
 class TestWideHull:

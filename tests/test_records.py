@@ -140,3 +140,28 @@ def test_records_of_other_types_never_equal():
 def test_records_hold_no_instance_dict():
     for cls, fields, _ in SAMPLES:
         assert not hasattr(cls(**fields), "__dict__"), cls.__name__
+
+
+# Each way a call can fail to name every field exactly once, from a sample's fields.
+REFUSALS = {
+    "missing": lambda fields: ((*fields.values(),)[:-1], {}),
+    "extra-positional": lambda fields: ((*fields.values(), None), {}),
+    "unknown-keyword": lambda fields: ((), {**fields, "extra": None}),
+    "positional-and-keyword": lambda fields: ((next(iter(fields.values())),), fields),
+}
+
+
+@pytest.mark.parametrize("refusal", REFUSALS)
+@pytest.mark.parametrize(
+    "cls, fields", [(cls, fields) for cls, fields, _ in SAMPLES if cls is not IntSet], ids=IDS[1:]
+)
+def test_constructor_refuses_before_storing(cls, fields, refusal):
+    # Every record but IntSet, which validates its elements, takes _Record's constructor.
+    assert "__init__" not in vars(cls)
+    values, named = REFUSALS[refusal](fields)
+    with pytest.raises(TypeError, match=f"^{cls.__name__} takes "):
+        cls(*values, **named)
+    blank = object.__new__(cls)
+    with pytest.raises(TypeError):
+        blank.__init__(*values, **named)
+    assert not any(hasattr(blank, f) for f in fields)
