@@ -290,8 +290,10 @@ def interval(lo: int, hi: int) -> IntSet:
 CONWAY_SET = IntSet((0, 2, 3, 4, 7, 11, 12, 14))
 
 
-def _packed(values: Iterable[int], base: int) -> int:
-    """Bitmask with bit v-base set for each v in `values` (all >= base).
+def _packed(values: Iterable[int], base: int, width: int = 1) -> int:
+    """Bitmask with bit width*(v-base) set for each v in `values` (all >= base):
+    one bit per value, or with `width` > 1 a `width`-bit slot per value,
+    holding 1, so that a product of two such masks counts in its slots.
 
     The bits are written as ASCII digits, least significant first, reversed
     once and parsed by int(..., 2): linear in the span, where OR-ing in
@@ -300,6 +302,8 @@ def _packed(values: Iterable[int], base: int) -> int:
     offsets = list(map(base.__rsub__, values) if base else values)
     if not offsets:
         return 0
+    if width > 1:
+        offsets = list(map(width.__mul__, offsets))
     digits = bytearray(b"0") * (max(offsets) + 1)
     # Consume the map at C speed; each call sets the digit of one value.
     deque(map(digits.__setitem__, offsets, repeat(ord("1"))), maxlen=0)

@@ -154,6 +154,30 @@ class TestSearchModulus:
             "its 4218916 pairs exceed the limit of 4194304\n"
         ))
 
+    def test_dense_base_answers_in_time(self, capsys):
+        # build_base(2**14, 2**12, 4): the 73728 moduli in (73728, 147456] by
+        # four products; trying each in turn ran for over an hour.
+        literal = "0..4095,4097..16384,28672,45056,57345..69631,69633..73728"
+        began = time.perf_counter()
+        assert main(["search-modulus", "--set", literal]) == 0
+        assert time.perf_counter() - began < 10
+        assert len(capsys.readouterr().out.split()) == 40957
+
+    def test_long_candidate_loop_refused(self, capsys):
+        # {a + 150b + 22500c : a, b, c in the Conway set}: A+A packs, but the
+        # products would be 317114 slots wide, so each candidate is tried in
+        # turn, and 40053 of them would take minutes.
+        literal = ",".join(
+            str(a + 150 * b + 22500 * c) for a in CONWAY_SET for b in CONWAY_SET for c in CONWAY_SET
+        )
+        began = time.perf_counter()
+        assert main(["search-modulus", "--set", literal]) == 2
+        assert time.perf_counter() - began < 5
+        assert capsys.readouterr() == ("", (
+            "error: searching 40053 moduli over |A+A| = 17576 and |A-A| = 15625 takes "
+            "1370813925 steps, past the limit of 268435456\n"
+        ))
+
 
 class TestTable:
     def test_table1_markdown_golden(self, capsys):

@@ -466,12 +466,12 @@ class TestKernelPaths:
         p = profile(A)
         assert (p.sum_card, p.diff_card) == _naive_counts(A) == (32, 31)
 
-    @given(st.lists(st.integers(0, 5000)), st.integers(-100, 0))
-    def test_packed_matches_the_or_loop(self, values, base):
+    @given(st.lists(st.integers(0, 5000)), st.integers(-100, 0), st.integers(1, 20))
+    def test_packed_matches_the_or_loop(self, values, base, width):
         bits = 0
         for v in values:
-            bits |= 1 << (v - base)
-        assert intset_module._packed(values, base) == bits
+            bits |= 1 << width * (v - base)
+        assert intset_module._packed(values, base, width) == bits
 
     @given(st.lists(st.integers(0, 5000), min_size=1), st.integers(-100, -1))
     def test_packed_takes_a_descending_iterator(self, values, base):

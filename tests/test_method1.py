@@ -10,6 +10,7 @@ import altchains.method1
 from altchains import (
     CONWAY_SET,
     Chain,
+    Method1Params,
     MethodTag,
     SetClass,
     affine,
@@ -152,6 +153,18 @@ def range_loop_moduli(A):
     return [n for n in candidates if evaluate(A, n, sums, diffs).valid]
 
 
+def window_params(A):
+    """(n, Method1Params) for each n in (max A, 2 max A], built from the four
+    counts the products give; they take the window's every modulus at once."""
+    sums, diffs = altchains.method1._base_counts(A)
+    counts = altchains.method1._window_counts(A, sums, diffs)
+    gap = len(sums) - len(diffs)
+    for n, (hits_s, hits_d, pairs_s, pairs_d) in enumerate(zip(*counts), A.max + 1):
+        x, y = len(A) - hits_s, len(A) - hits_d
+        rs, rd = len(sums) - pairs_s, len(diffs) - pairs_d
+        yield n, Method1Params(x, y, rs, rd, rs == rd, 2 * y - x - 1 > gap)
+
+
 @st.composite
 def mstd_bases(draw):
     """MSTD sets with min 0: a Nathanson base, dilated, plus a few inner elements."""
@@ -187,6 +200,63 @@ class TestSearchModuli:
         # The Conway set packs in 8 * 15 = 120 and its sums in 26 * 29 = 754.
         monkeypatch.setattr(altchains.intset, "_BITSET_WORK_LIMIT", 200)
         fault = r"^\|A\+A\| = 26 is too large for a set of diameter 28: \|A\+A\|\*"
+        with pytest.raises(ValueError, match=fault):
+            search_moduli(CONWAY_SET)
+
+    def test_window_counts_give_evaluate_on_every_base(self):
+        bases = [CONWAY_SET, make_set([0, 1, 2, 4, 5, 9, 12, 13, 14])]
+        bases += [build_base(*p).A for p in valid_param_triples(16, 6)]
+        for A in bases:
+            sums, diffs = altchains.method1._base_counts(A)
+            got = list(window_params(A))
+            assert [n for n, _ in got] == list(range(A.max + 1, 2 * A.max + 1))
+            for n, params in got:
+                assert params == altchains.method1._evaluate(A, n, sums, diffs), (A, n)
+
+    def test_counts_past_a_byte(self):
+        # A slot of 8 bits would carry here: 200 elements of A reach A+A at once.
+        A = build_base(100, 25, 4).A
+        sums, diffs = altchains.method1._base_counts(A)
+        assert max(map(max, altchains.method1._window_counts(A, sums, diffs))) > 255
+        for n, params in window_params(A):
+            assert params == altchains.method1._evaluate(A, n, sums, diffs), n
+
+    @pytest.mark.parametrize("m", [100, 200])
+    def test_products_match_range_loop(self, m, monkeypatch):
+        # diffset runs once, on A: the products replace diffset(A+A) and the loop.
+        calls = []
+        original = altchains.method1.diffset
+        monkeypatch.setattr(altchains.method1, "diffset", lambda A: calls.append(A) or original(A))
+        A = build_base(m, m // 4, 4).A
+        moduli = search_moduli(A)
+        assert calls == [A]
+        assert moduli == range_loop_moduli(A)
+
+    def test_quadratic_search_answers_at_once(self):
+        # Every n in (1800, 3600] took one pass over A, A+A and A-A: 2.7 s.
+        began = time.perf_counter()
+        moduli = search_moduli(build_base(400, 100, 4).A)
+        assert len(moduli) == 997
+        assert time.perf_counter() - began < 0.5
+
+    def test_too_wide_for_the_products_takes_the_loop(self, monkeypatch):
+        monkeypatch.setattr(altchains.method1, "_PRODUCT_BIT_LIMIT", 0)
+        for A in (CONWAY_SET, build_base(20, 8, 6).A):
+            assert altchains.method1._window_counts(A, *altchains.method1._base_counts(A)) is None
+            assert search_moduli(A) == range_loop_moduli(A)
+
+    def test_loop_work_refused_before_it_starts(self, monkeypatch):
+        # 13 moduli of S-S in (14, 28], each a pass over 26 sums, 25
+        # differences and twice the 8 elements: 13 * 67 = 871 steps.
+        def refuse(*args):
+            raise AssertionError("a modulus was evaluated")
+        monkeypatch.setattr(altchains.method1, "_PRODUCT_BIT_LIMIT", 0)
+        monkeypatch.setattr(altchains.method1, "_evaluate", refuse)
+        monkeypatch.setattr(altchains.method1, "_SEARCH_WORK_LIMIT", 870)
+        fault = (
+            r"^searching 13 moduli over \|A\+A\| = 26 and \|A-A\| = 25 takes 871 steps, "
+            r"past the limit of 870$"
+        )
         with pytest.raises(ValueError, match=fault):
             search_moduli(CONWAY_SET)
 
