@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .intset import (
@@ -31,6 +31,8 @@ from .intset import (
 Witness = int | tuple[int, int] | None
 Failure = tuple[int, str, Witness]
 Appends = tuple[int, ...] | None
+# One step's appends in the first period, each as (element, shift per period).
+Slot = tuple[tuple[int, int], ...]
 
 class MethodTag(enum.Enum):
     METHOD1 = "Method1"
@@ -140,8 +142,9 @@ def _check_work(members: Sequence[IntSet], appends: Sequence[Appends], hull: int
     On masks of `hull`+1 bits, a member that appends k elements costs
     k*(hull+1), one shift-OR of each mask per element; every other member,
     and every member past the bitset cut (hull None), costs the kernel's work.
-    The count stops at the first member the kernel refuses by itself, so that
-    member's own refusal is raised as before.
+    The count stops at the first member the kernel refuses by itself; when
+    the members before it pass the limit together, the limit is named, and
+    otherwise that member's own refusal is raised, before any is profiled.
     """
     rebuilt = range(len(members)) if hull is None else [
         i for i, new in enumerate(appends) if new is None]
@@ -159,6 +162,10 @@ def _check_work(members: Sequence[IntSet], appends: Sequence[Appends], hull: int
             f"rebuilding the chain's members from the kernel exceeds the work "
             f"limit of {_BITSET_WORK_LIMIT}"
         )
+    if stop < len(members):
+        # The kernel refuses this member, with its own message.
+        sumset(members[stop])
+        diffset(members[stop])
 
 
 class Chain(_Record):
@@ -205,17 +212,18 @@ class Chain(_Record):
         return self.sets[index - 1]
 
 
-def _grow(
-    first: IntSet, new_at: Callable[[int], Sequence[int]], steps: int, method_tag: MethodTag
-) -> Chain:
-    """The `steps`-member chain from `first` whose member j+1 is member j plus new_at(j).
+def _grow(first: IntSet, period: Sequence[Slot], steps: int, method_tag: MethodTag) -> Chain:
+    """The `steps`-member chain from `first` that appends one `period` of slots
+    after another.
 
-    Each step appends below and above the previous hull, so every member is
-    one contiguous run of the last member and appends its step's new elements
-    (None if there are none): only the last is built and checked, which
-    raises ValueError on an append inside a hull or a repeated element.
-    Members that would hold more than _RANGE_LIMIT elements together, the
-    bound set literals have, are refused before any is built.
+    Step j (member j+1 is member j plus its appends) appends slot (j-1) mod p
+    of the p in `period`, each element x of it with shift s moved to
+    x + ((j-1) // p)*s.  Each step appends below and above the previous hull,
+    so every member is one contiguous run of the last member and appends its
+    step's new elements (None if there are none): only the last is built and
+    checked, which raises ValueError on an append inside a hull or a repeated
+    element.  Members that would hold more than _RANGE_LIMIT elements
+    together, the bound set literals have, are refused before any is built.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -225,7 +233,8 @@ def _grow(
     appends: list[Appends] = [None]
     size = total = len(first)
     for j in range(1, steps):
-        new = sorted(new_at(j))
+        t, r = divmod(j - 1, len(period))
+        new = sorted(x + t * shift for x, shift in period[r])
         i = bisect_left(new, first.min)
         below.extend(reversed(new[:i]))
         above.extend(new[i:])

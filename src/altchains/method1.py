@@ -168,8 +168,5 @@ def generate_chain_m1(A: IntSet, n: int, steps: int) -> Chain:
             f"the sum-difference gap of the base"
         )
     # Member 2l appends l*n, and member 2l+1 the rest of A + l*n (min A is 0).
-    rest = A.elements[1:]
-    def new_at(j: int) -> tuple[int, ...]:
-        shift = (j + 1) // 2 * n
-        return (shift,) if j % 2 else tuple(a + shift for a in rest)
-    return _grow(A, new_at, steps, MethodTag.METHOD1)
+    period = (((n, n),), tuple((a + n, n) for a in A.elements[1:]))
+    return _grow(A, period, steps, MethodTag.METHOD1)

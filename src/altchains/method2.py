@@ -38,18 +38,12 @@ def _check_first_member(params: NathansonParams, p: SumDiffProfile) -> None:
         )
 
 
-def _new_at(params: NathansonParams, j: int) -> int:
-    """The element member j+1 adds to member j, in round r = (j+1)//2."""
-    m, d, k = params.m, params.d, params.k
-    r = (j + 1) // 2
-    return (k + r + 1) * m - d if j % 2 else -r * m - d
-
-
 def generate_chain_m2(params: NathansonParams, steps: int) -> Chain:
     """Generate the first `steps` sets of the one-element-per-step chain."""
-    chain = _grow(
-        _first_member(params), lambda j: (_new_at(params, j),), steps, MethodTag.METHOD2
-    )
+    m, d, k = params.m, params.d, params.k
+    # Round r appends (k+r+1)m - d above, then -rm - d below.
+    period = ((((k + 2) * m - d, m),), ((-m - d, -m),))
+    chain = _grow(_first_member(params), period, steps, MethodTag.METHOD2)
     # The chain has profiled the first member already; check it from there.
     _check_first_member(params, chain.profiles[0])
     return chain

@@ -21,6 +21,9 @@ from .intset import IntSet, diffset, make_set, sumset
 
 CORE_ELEMENTS = (-7, 0, 5, 8, 15)
 EXCLUDED = frozenset((-9, 1, 2, 6, 7, 17))
+# What phases 2, 3, 4 of block k and phase 1 of block k+1 append, as
+# (element at k = 0, shift per block).
+_PERIOD = (((36, 5),), ((-28, -5),), ((37, 5),), ((-29, -5),))
 
 
 def phase1_set(k: int) -> IntSet:
@@ -30,25 +33,17 @@ def phase1_set(k: int) -> IntSet:
     return make_set(kept)
 
 
-def _block_appends(k: int) -> tuple[int, int, int, int]:
-    """What phases 2, 3, 4 of block k and phase 1 of block k+1 append, in order."""
-    return (5 * k + 36, -5 * k - 28, 5 * k + 37, -5 * k - 29)
-
-
 def set_m3(i: int) -> IntSet:
     """The chain member at 1-based position `i` in closed form."""
     if i < 1:
         raise ValueError(f"chain index must be >= 1, got {i}")
     k, r = divmod(i - 1, 4)
-    return phase1_set(k).union(_block_appends(k)[:r])
+    return phase1_set(k).union(x + k * shift for slot in _PERIOD[:r] for x, shift in slot)
 
 
 def generate_chain_m3(steps: int) -> Chain:
     """The first `steps` members of the closed-form chain."""
-    def new_at(j: int) -> tuple[int, ...]:
-        k, r = divmod(j - 1, 4)
-        return _block_appends(k)[r : r + 1]
-    return _grow(phase1_set(0), new_at, steps, MethodTag.METHOD3)
+    return _grow(phase1_set(0), _PERIOD, steps, MethodTag.METHOD3)
 
 
 def delta_counts(i: int) -> tuple[int, int]:

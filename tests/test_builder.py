@@ -1,11 +1,13 @@
 """Each generator against its construction written out from the definition.
 
 The generators share one member loop (`chains._grow`) and differ only in
-their first member and per-step append rule, so an off-by-one in a rule
-shows here as a member that differs from the definition.
+their first member and the period of appends they hand it, so an off-by-one
+in a period shows here as a member that differs from the definition.
 """
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import altchains.chains
 from altchains import (
@@ -19,7 +21,7 @@ from altchains import (
     phase1_set,
     set_m3,
 )
-from altchains.chains import _grow
+from altchains.chains import Chain, _appended, _grow
 from altchains.nathanson import k_min
 
 # The method-2 bases of the `chains` benchmark workload: m in M2_MS with
@@ -81,6 +83,25 @@ def test_zero_and_one_step(generate, first):
         generate(0)
 
 
+# The change in (|A+A|, |A-A|, |A|, diameter) over one period of each
+# construction, from the first member on.
+INCREMENTS = [
+    *(pytest.param(lambda n=n: generate_chain_m1(CONWAY_SET, n, 401), 2, (2 * n, 2 * n, 8, n),
+                   id=f"m1-n{n}") for n in (17, 18, 20)),
+    *(pytest.param(lambda m=m, d=d, k=k: generate_chain_m2(build_base(m, d, k), 401), 2,
+                   (2 * m, 2 * m, 2, 2 * m), id=f"m2-{m}-{d}-{k}")
+      for m in (4, 8, 12, 16, 20) for d in (m // 4, 3 * m // 4) for k in range(k_min(m, d), 7)),
+    pytest.param(lambda: generate_chain_m3(401), 4, (16, 16, 4, 10), id="m3"),
+]
+
+
+@pytest.mark.parametrize("generate, period, increment", INCREMENTS)
+def test_per_period_increments(generate, period, increment):
+    counts = [(p.sum_card, p.diff_card, p.card, p.diameter) for p in generate().profiles]
+    for before, after in zip(counts, counts[period:]):
+        assert tuple(b - a for a, b in zip(before, after)) == increment
+
+
 class TestChainBound:
     def test_refused_before_building(self, monkeypatch):
         monkeypatch.setattr(altchains.chains, "_RANGE_LIMIT", 100)
@@ -115,17 +136,45 @@ class TestLastMemberCheck:
         ],
     )
     def test_bad_rule_raises(self, appends):
+        period = [tuple((x, 0) for x in step) for step in appends]
         with pytest.raises(ValueError):
-            _grow(make_set([0, 5]), lambda j: appends[j - 1], len(appends) + 1,
-                  MethodTag.EXTERNAL)
+            _grow(make_set([0, 5]), period, len(appends) + 1, MethodTag.EXTERNAL)
 
     def test_members_are_runs(self):
-        # Each step appends two elements on each side of the hull, unsorted.
+        # Each step appends two elements on each side of the hull, unsorted,
+        # from a period of one slot.
         first = make_set([0, 3])
-        def new_at(j):
-            return (10 * j, -10 * j, 10 * j + 1, -10 * j - 1)
-        chain = _grow(first, new_at, 6, MethodTag.EXTERNAL)
+        period = [((10, 10), (-10, -10), (11, 10), (-11, -10))]
+        chain = _grow(first, period, 6, MethodTag.EXTERNAL)
         want = [first]
         for j in range(1, 6):
-            want.append(make_set([*want[-1], *new_at(j)]))
+            want.append(make_set([*want[-1], 10 * j, -10 * j, 10 * j + 1, -10 * j - 1]))
         assert chain.sets == tuple(want)
+
+
+class TestPeriod:
+    """`_grow` against the running unions of its period written out in full."""
+
+    slots = st.lists(st.tuples(st.integers(-30, 30), st.integers(-60, 60)), max_size=3)
+
+    @example(first={0, 1}, period=[((5, 10),), ((-5, -10), (9, 10))], steps=30)
+    @given(
+        first=st.sets(st.integers(-5, 5), min_size=1),
+        period=st.lists(slots.map(tuple), min_size=1, max_size=4),
+        steps=st.integers(1, 30),
+    )
+    def test_matches_running_unions(self, first, period, steps):
+        # Period t of the schedule moves each slot's elements t shifts.
+        schedule = [[x + t * s for x, s in slot] for t in range(steps) for slot in period]
+        members = [make_set(first)]
+        for new in schedule[: steps - 1]:
+            prev = members[-1]
+            if len(set(new)) < len(new) or any(prev.min <= x <= prev.max for x in new):
+                with pytest.raises(ValueError):
+                    _grow(members[0], period, steps, MethodTag.EXTERNAL)
+                return
+            members.append(make_set([*prev, *new]))
+        chain = _grow(members[0], period, steps, MethodTag.EXTERNAL)
+        assert chain.sets == tuple(members)
+        assert chain.appends == (None, *map(_appended, members, members[1:]))
+        assert chain == Chain.from_sets(members, MethodTag.EXTERNAL)

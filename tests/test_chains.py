@@ -114,6 +114,20 @@ class TestRebuildWork:
             Chain.from_sets(members, MethodTag.EXTERNAL)
         self._refused(members, 10**6 - 1, monkeypatch)
 
+    def test_a_refused_member_is_refused_before_any_profile(self, conway, monkeypatch):
+        def no_profile(*args):
+            raise AssertionError("a member was profiled before the refusal")
+
+        monkeypatch.setattr(altchains.chains._Masks, "advance", no_profile)
+        monkeypatch.setattr(altchains.chains._Kernel, "advance", no_profile)
+        members = [make_set(range(1000)), make_set(range(1, 400000))]
+        with pytest.raises(ValueError, match=r"\|A\| = 399999 is too large for a set of diameter 399998"):
+            Chain.from_sets(members, MethodTag.EXTERNAL)
+        # Past the bitset cut every member is rebuilt.  Member 512 of the
+        # dilated Conway chain holds 2049 elements, past the pair limit.
+        with pytest.raises(ValueError, match=r"\|A\| = 2049 is too large for a set of diameter above"):
+            generate_chain_m1(affine(conway, 10**8, 0), 17 * 10**8, 801)
+
     def test_appends_after_a_refused_member_are_not_charged(self, monkeypatch):
         # 0..999 costs 10**6, at the limit.  The kernel refuses 1..399999 by
         # itself, so what the member after it appends is never reached.

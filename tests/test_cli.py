@@ -320,6 +320,20 @@ class TestChainVerbAndFiles:
         assert time.perf_counter() - began < 5
         assert capsys.readouterr().err.startswith("error: a chain of 1000000000 steps holds more")
 
+    def test_chain_with_a_refused_member_fails_fast(self, capsys):
+        # Member 512 of the Conway set dilated by 10**8 holds 2049 elements,
+        # past the hash path's pair limit.  Profiling the 511 members before
+        # it would take nearly a minute, so it must be refused first.
+        base = ",".join(str(10**8 * a) for a in CONWAY_SET)
+        began = time.perf_counter()
+        args = ["chain", "--method", "1", "--set", base, "--n", "1700000000", "--steps", "801"]
+        assert main(args) == 2
+        assert time.perf_counter() - began < 5
+        assert capsys.readouterr() == ("", (
+            "error: |A| = 2049 is too large for a set of diameter above 16777216: "
+            "its 4198401 pairs exceed the limit of 4194304\n"
+        ))
+
     def test_verify_refuses_long_file(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "chain.txt"
         path.write_text(chain_to_text(generate_chain_m1(altchains.CONWAY_SET, 17, 3), 17))

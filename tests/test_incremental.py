@@ -258,9 +258,7 @@ class TestGrownAppends:
         assert chain == Chain.from_sets(chain.sets, chain.method_tag)
 
     def test_empty_step_appends_none(self):
-        chain = chains._grow(
-            CONWAY_SET, lambda j: () if j == 2 else (20 * j,), 4, MethodTag.EXTERNAL
-        )
+        chain = chains._grow(CONWAY_SET, [((20, 0),), (), ((60, 0),)], 4, MethodTag.EXTERNAL)
         assert chain.appends == (None, (20,), None, (60,))
         rebuilt = Chain.from_sets(chain.sets, MethodTag.EXTERNAL)
         assert chain == rebuilt
