@@ -127,45 +127,28 @@ class _Kernel:
         return next((m - a for a in self.current if m - a not in self.diffs), None)
 
 
-def _accumulator(sets: Sequence[IntSet]) -> _Masks | _Kernel:
-    """Masks anchored at the hull of `sets`, or the kernel past the bitset cut."""
-    nonempty = [s for s in sets if s]
-    lo = min((s.min for s in nonempty), default=0)
-    hi = max((s.max for s in nonempty), default=0)
-    return _Masks(lo, hi) if hi - lo <= _BITSET_SPAN_LIMIT else _Kernel()
+def _accumulator(members: Sequence[IntSet], appends: Sequence[Appends]) -> _Masks | _Kernel:
+    """Masks anchored at the hull of the nonempty `members`, or the kernel past
+    the bitset cut, to profile them, or sets within their hull, in order.
 
-
-def _check_work(members: Sequence[IntSet], appends: Sequence[Appends], hull: int | None) -> None:
-    """Refuse, before any is computed, members whose work together passes
-    _BITSET_WORK_LIMIT.
-
-    On masks of `hull`+1 bits, a member that appends k elements costs
-    k*(hull+1), one shift-OR of each mask per element; every other member,
-    and every member past the bitset cut (hull None), costs the kernel's work.
-    The count stops at the first member the kernel refuses by itself; when
-    the members before it pass the limit together, the limit is named, and
-    otherwise that member's own refusal is raised, before any is profiled.
+    The members are priced first, in order.  One that appends k elements
+    (`appends`, as _appended gives them) to masks of hull h costs k*(h+1),
+    one shift-OR of each mask per element; any other, and every member past
+    the bitset cut, costs the kernel's work.  The first member that the
+    kernel refuses, or at which the running total passes _BITSET_WORK_LIMIT,
+    raises that refusal.
     """
-    rebuilt = range(len(members)) if hull is None else [
-        i for i, new in enumerate(appends) if new is None]
-    total, stop = 0, len(members)
-    for i in rebuilt:
-        work = _kernel_work(members[i])
-        if work is None:
-            stop = i
-            break
-        total += work
-    if hull is not None:
-        total += (hull + 1) * sum(map(len, filter(None, appends[:stop])))
-    if total > _BITSET_WORK_LIMIT:
-        raise ValueError(
-            f"rebuilding the chain's members from the kernel exceeds the work "
-            f"limit of {_BITSET_WORK_LIMIT}"
-        )
-    if stop < len(members):
-        # The kernel refuses this member, with its own message.
-        sumset(members[stop])
-        diffset(members[stop])
+    lo, hi = min(s.min for s in members), max(s.max for s in members)
+    masks = hi - lo <= _BITSET_SPAN_LIMIT
+    total = 0
+    for s, new in zip(members, appends):
+        total += (hi - lo + 1) * len(new) if masks and new is not None else _kernel_work(s)
+        if total > _BITSET_WORK_LIMIT:
+            raise ValueError(
+                f"rebuilding the chain's members from the kernel exceeds the work "
+                f"limit of {_BITSET_WORK_LIMIT}"
+            )
+    return _Masks(lo, hi) if masks else _Kernel()
 
 
 class Chain(_Record):
@@ -194,8 +177,7 @@ class Chain(_Record):
             raise ValueError("cannot profile the empty set")
         # Each member's profile grows from the previous one's where it appends;
         # the kernel computes the others, and every member past the bitset cut.
-        acc = _accumulator(members)
-        _check_work(members, appends, acc.hi - acc.lo if isinstance(acc, _Masks) else None)
+        acc = _accumulator(members, appends)
         profiles = []
         for s, new in zip(members, appends):
             acc.advance(s, new)

@@ -501,16 +501,15 @@ def _takes_hash_path(A: IntSet, name: str = "A") -> bool:
     return False
 
 
-def _kernel_work(A: IntSet) -> int | None:
+def _kernel_work(A: IntSet) -> int:
     """The work of sumset(A) and of diffset(A) on nonempty A: |A|^2 on the
-    hash path, |A|*(diameter+1) on the bitset path; None if they refuse A."""
-    try:
-        hashed = _takes_hash_path(A)
-    except ValueError:
-        return None
-    # Past these the sums or the differences leave the element bound.
-    if 2 * max(A.max, -A.min) > SAFE_BOUND or A.diameter > SAFE_BOUND:
-        return None
+    hash path, |A|*(diameter+1) on the bitset path.  On a set they refuse it
+    raises their ValueError."""
+    hashed = _takes_hash_path(A)
+    # Past this a sum leaves the element bound, and sumset names it; short
+    # of it every difference is within too, as the diameter is at most 2*max|a|.
+    if 2 * max(A.max, -A.min) > SAFE_BOUND:
+        sumset(A)
     return len(A) * len(A) if hashed else len(A) * (A.diameter + 1)
 
 

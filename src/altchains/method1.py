@@ -69,7 +69,18 @@ def _evaluate(A: IntSet, n: int, sums: IntSet, diffs: IntSet) -> Method1Params:
 
 
 def analyze_modulus(A: IntSet, n: int) -> Method1Params:
-    """Evaluate both admissibility conditions of modulus n for base A."""
+    """Evaluate both admissibility conditions of modulus n for base A.
+
+    For every n > max A its counters give each member's counts in the chain
+    of (A, n).  With R_S, R_D the residue counts of A+A and A-A mod n, and
+    P_S = |A+A| - R_S, P_D = |A-A| - R_D:
+    - |A_{2l+1} + A_{2l+1}| = (2l+1)*R_S + P_S and
+      |A_{2l+1} - A_{2l+1}| = (2l+1)*R_D + P_D, as A_{2l+1} + A_{2l+1} is the
+      union of A+A + jn for 0 <= j <= 2l and a residue class of A+A holds one
+      sum or two, s and s+n (likewise for the differences, j from -l to l);
+    - A_{2l} adds to A_{2l-1} the x+1 sums 2ln and a + (2l-1)n with n+a
+      outside A+A, and the 2y differences +-(ln - b) with n-b outside A-A.
+    """
     return _evaluate(A, n, *_base_counts(A))
 
 

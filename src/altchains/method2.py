@@ -66,11 +66,11 @@ def verify_star_identities(params: NathansonParams, chain: Chain) -> ValidationR
     not append rebuilds them.
     """
     m = params.m
-    odd = range(1, len(chain.sets) + 1, 2)
-    cores = [chain.sets[idx - 1].without(m) for idx in odd]
-    acc = _accumulator(cores)
+    # The cores lie in the chain's hull, and its members have been priced.
+    acc = _accumulator(chain.sets, chain.appends)
     failures = []
-    for idx, star in zip(odd, cores):
+    for idx in range(1, len(chain.sets) + 1, 2):
+        star = chain.sets[idx - 1].without(m)
         steps = chain.appends[idx - 2 : idx] if idx > 1 else (None,)
         acc.advance(star, None if None in steps else [x for step in steps for x in step if x != m])
         diff_gap, sum_gap = acc.first_missing_diff(m), acc.first_missing_sum(m)

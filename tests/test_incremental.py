@@ -5,7 +5,8 @@ hull (`Chain.appends`).  The chain's profiles and `verify_star_identities`
 grow such a member's sum and difference masks from the previous member's, and
 `validate_chain` passes it.  Every test here compares that path with a
 reference that does not use it: `profile()` per member, a naive pairwise chain
-check, or the double-loop oracles in conftest.
+check, the double-loop oracles in conftest, or, for the work a chain is
+priced at before it is profiled, the whole-chain check the one pass replaced.
 """
 
 import altchains.chains as chains
@@ -21,6 +22,7 @@ from altchains import (
     NathansonParams,
     affine,
     build_base,
+    diffset,
     generate_chain_m1,
     generate_chain_m2,
     generate_chain_m3,
@@ -30,6 +32,8 @@ from altchains import (
     validate_chain,
     verify_star_identities,
 )
+
+from altchains.intset import _BITSET_SPAN_LIMIT, SAFE_BOUND, _takes_hash_path
 
 from conftest import naive_diffset, naive_sumset
 
@@ -232,6 +236,151 @@ class TestStarIdentities:
         assert chain.appends == (None, (4,), (40,))
         failures = verify_star_identities(params, chain).failures
         assert list(failures) == naive_star_failures(params.m, chain)
+
+    def test_cores_narrower_than_the_chain(self):
+        # The star check anchors at the chain's hull.  Here every member has m
+        # as its max, so each core, and the cores' hull, ends below it.
+        params = build_base(4, 1, 3)
+        members = [s.within(s.min, params.m) for s in generate_chain_m2(params, 7).sets]
+        assert all(s.max == params.m for s in members)
+        chain = Chain.from_sets(members, MethodTag.METHOD2)
+        failures = verify_star_identities(params, chain).failures
+        assert failures and list(failures) == naive_star_failures(params.m, chain)
+
+    def test_chain_past_the_bitset_cut_with_narrow_cores(self):
+        # m = 2**25 tops every member: the chain's hull passes 2**24, the
+        # cores' hull does not.
+        params = build_base(4, 1, 3)
+        wide = NathansonParams(2**25, params.d, params.k, params.A)
+        members = [s.union([wide.m]) for s in generate_chain_m2(params, 7).sets]
+        chain = Chain.from_sets(members, MethodTag.METHOD2)
+        failures = verify_star_identities(wide, chain).failures
+        assert failures and list(failures) == naive_star_failures(wide.m, chain)
+
+    def test_member_m_alone_has_an_empty_core(self):
+        params = build_base(4, 1, 3)
+        chain = Chain.from_sets([make_set([params.m])], MethodTag.METHOD2)
+        failures = verify_star_identities(params, chain).failures
+        assert failures == ((1, "diff-card-match", (1, 0)),)
+        assert list(failures) == naive_star_failures(params.m, chain)
+
+
+def reference_kernel_work(A):
+    """The kernel's work on A, or None if it refuses A (the former _kernel_work)."""
+    try:
+        hashed = _takes_hash_path(A)
+    except ValueError:
+        return None
+    if 2 * max(A.max, -A.min) > SAFE_BOUND or A.diameter > SAFE_BOUND:
+        return None
+    return len(A) * len(A) if hashed else len(A) * (A.diameter + 1)
+
+
+def reference_accumulator(members, appends, limit):
+    """The path and hull that _accumulator chose, then the whole-chain check
+    it was followed by (the former _check_work): the kernel work of every
+    rebuilt member up to the first the kernel refuses, plus the mask work of
+    the appends before it in one lump; over `limit` the limit is named, and
+    otherwise that member's own refusal is raised."""
+    lo, hi = min(s.min for s in members), max(s.max for s in members)
+    hull = hi - lo if hi - lo <= _BITSET_SPAN_LIMIT else None
+    rebuilt = range(len(members)) if hull is None else [
+        i for i, new in enumerate(appends) if new is None]
+    total, stop = 0, len(members)
+    for i in rebuilt:
+        work = reference_kernel_work(members[i])
+        if work is None:
+            stop = i
+            break
+        total += work
+    if hull is not None:
+        total += (hull + 1) * sum(map(len, filter(None, appends[:stop])))
+    if total > limit:
+        raise ValueError(
+            f"rebuilding the chain's members from the kernel exceeds the work limit of {limit}")
+    if stop < len(members):
+        sumset(members[stop])
+        diffset(members[stop])
+    return ("masks", lo, hi) if hull is not None else ("kernel",)
+
+
+# Members the kernel refuses: by the bitset work, by the pairs past the span
+# cut, and by a sum past the element bound at either end.
+REFUSED = [
+    make_set(range(1, 400000)),
+    make_set(range(0, 2049 * 2**14, 2**14)),
+    make_set([2**61 - 1, 2**61]),
+    make_set([-(2**61), 5]),
+]
+# Members that cost much without being refused.
+HEAVY = [make_set(range(1000)), make_set(range(300000)), make_set([0]), make_set(range(0, 400000, 2))]
+
+
+def outcome(price, *args):
+    """What a pricing call gives: its result, or the type and message it raises."""
+    try:
+        return price(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def priced_members(draw):
+    """Nested member lists, perhaps broken or repeated, perhaps dilated past
+    the bitset cut, with perhaps a refused or a heavy member put in."""
+    members = draw(nested_chains())
+    if draw(st.booleans()):
+        members = corrupt(draw, members)
+    members = [make_set(m) for m in members]
+    if draw(st.booleans()):
+        members = [affine(s, 2**22, 0) for s in members]
+    for _ in range(draw(st.integers(0, 2))):
+        extra = draw(st.sampled_from(REFUSED + HEAVY))
+        members.insert(draw(st.integers(0, len(members))), extra)
+    return members
+
+
+def assert_priced_alike(members):
+    """_accumulator and the whole-chain check agree on `members` at every
+    limit next to a running total of the members priced in order."""
+    appends = (None, *map(chains._appended, members, members[1:]))
+    lo, hi = min(s.min for s in members), max(s.max for s in members)
+    masks = hi - lo <= _BITSET_SPAN_LIMIT
+    totals = [0]
+    for s, new in zip(members, appends):
+        work = (hi - lo + 1) * len(new) if masks and new is not None else reference_kernel_work(s)
+        if work is None:
+            break
+        totals.append(totals[-1] + work)
+    for limit in sorted({max(0, t + e) for t in totals for e in (-1, 0, 1)} | {1 << 36}):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chains, "_BITSET_WORK_LIMIT", limit)
+            got = outcome(chains._accumulator, members, appends)
+        if not isinstance(got, tuple):
+            got = ("masks", got.lo, got.hi) if isinstance(got, chains._Masks) else ("kernel",)
+        assert got == outcome(reference_accumulator, members, appends, limit), limit
+
+
+class TestPricing:
+    """_accumulator prices the members in one pass, in order, and raises the
+    first refusal it meets; the former whole-chain check gives the same
+    answers: the same path and hull, or the same exception and message."""
+
+    @given(priced_members())
+    @settings(max_examples=300, deadline=None)
+    def test_pass_matches_whole_chain_check(self, members):
+        assert_priced_alike(members)
+
+    @pytest.mark.parametrize("members", [
+        # A hull of diameter 2**24 takes masks; one wider, the kernel.
+        [make_set([1, 2**24]), make_set([0, 1, 2**24])],
+        [make_set([1, 2**24 + 1]), make_set([0, 1, 2**24 + 1])],
+        [make_set([0]), make_set(range(300000))],
+        [make_set(range(1000)), make_set(range(1, 400000)), make_set(range(1000))],
+        [make_set([2**61 - 1, 2**61]), make_set(range(1000))],
+    ])
+    def test_edge_cases_match_whole_chain_check(self, members):
+        assert_priced_alike(members)
 
 
 class TestGrownAppends:

@@ -307,7 +307,54 @@ class TestGenerateChain:
         assert a5 == a3.union(a + 34 for a in conway)
 
 
+def per_index_counts(A, n, steps):
+    """|A_i + A_i| and |A_i - A_i| for i = 1..steps in the chain of (A, n), by
+    analyze_modulus's closed form, from the base's double-loop counts."""
+    p = analyze_modulus(A, n)
+    sums, diffs = len(naive_sumset(A)), len(naive_diffset(A))
+    counts = []
+    for i in range(1, steps + 1):
+        if i % 2:
+            counts.append((i * p.sum_residues + sums - p.sum_residues,
+                           i * p.diff_residues + diffs - p.diff_residues))
+        else:
+            counts.append((counts[-1][0] + p.x + 1, counts[-1][1] + 2 * p.y))
+    return counts
+
+
+# The Conway set and the 28 bases build_base(m, d, k) with m in {4, 8, 12, 16},
+# d in {m/4, 3m/4} and k from its least value to 6.
+PER_INDEX_BASES = [CONWAY_SET] + [
+    build_base(m, d, k).A
+    for m in (4, 8, 12, 16)
+    for d in (m // 4, 3 * m // 4)
+    for k in range(3 if 2 * d < m else 4, 7)
+]
+
+
 class TestChainIdentities:
+    def test_per_index_counts_on_every_admitted_modulus(self):
+        assert len(PER_INDEX_BASES) == 29
+        members = 0
+        for A in PER_INDEX_BASES:
+            for n in search_moduli(A):
+                chain = generate_chain_m1(A, n, 41)
+                got = [(p.sum_card, p.diff_card) for p in chain.profiles]
+                assert got == per_index_counts(A, n, 41), (A, n)
+                members += len(chain)
+        assert members == 28372  # 692 admitted (base, n) pairs
+
+    def test_per_index_counts_hold_for_every_modulus(self, conway):
+        # Admissible or not: each n in (14, 42] copies the base around n.
+        for n in range(conway.max + 1, 3 * conway.max + 1):
+            members = [conway]
+            for l in range(1, 11):
+                members.append(members[-1].union([l * n]))
+                members.append(members[-2].union(a + l * n for a in conway))
+            chain = Chain.from_sets(members, MethodTag.EXTERNAL)
+            got = [(p.sum_card, p.diff_card) for p in chain.profiles]
+            assert got == per_index_counts(conway, n, 21), n
+
     @pytest.mark.parametrize("n", [17, 18, 20])
     def test_step_increments(self, conway, n):
         params = analyze_modulus(conway, n)
