@@ -19,6 +19,16 @@ first len(), and builds its tuple only when its elements are first read
 (_Pending).  So len(sumset(A)) and len(diffset(A)), all that classify and
 profile need, list no element on either path; every other use reads the
 elements as before.
+
+The kernel does each set's work once.  It keeps a memo of the last set A it
+was handed and did not refuse (_Memo), picked by identity: on the bitset path
+the scaled offsets, their step and their packed mask, which sumset and diffset
+both start from; on either path the results it returned for A, so sumset(A)
+twice in a row gives the same object, and a count one len() took serves the
+next.  Only that one set is kept alive past its use, with what its results
+hold, and a call about another set replaces it.  Each call still decides its
+path and checks its limits and the element bound, and reads the memo once, so
+threads that share the kernel each get their own set's answer.
 """
 
 from __future__ import annotations
@@ -240,6 +250,11 @@ class _Pending(IntSet):
         return True
 
 
+def _past_bound(v: int) -> ValueError:
+    """The refusal of an element or kernel output v with |v| > SAFE_BOUND."""
+    return ValueError(f"|{v}| exceeds the safe element bound 2**62-1")
+
+
 def _check_elements(elements: Iterable[int]) -> None:
     """Raise on the first element that is not an int, out of bounds or out of order."""
     prev = None
@@ -247,7 +262,7 @@ def _check_elements(elements: Iterable[int]) -> None:
         if not isinstance(v, int) or isinstance(v, bool):
             raise TypeError(f"set elements must be ints, got {v!r}")
         if abs(v) > SAFE_BOUND:
-            raise ValueError(f"|{v}| exceeds the safe element bound 2**62-1")
+            raise _past_bound(v)
         if prev is not None and v <= prev:
             raise ValueError("elements must be strictly increasing")
         prev = v
@@ -263,14 +278,9 @@ def _trusted(elements: tuple[int, ...]) -> IntSet:
     return result
 
 
-def _deferred(
-    count: int | Callable[[], int], lo: int, hi: int, unpack: Callable[[], tuple[int, ...]]
-) -> IntSet:
-    """IntSet of the `count` kernel outputs unpack() returns, from lo to hi,
-    left pending; `count` may be a function that returns it.  Outputs past
-    SAFE_BOUND are unpacked and refused at once."""
-    if lo < -SAFE_BOUND or hi > SAFE_BOUND:
-        return _trusted(unpack())
+def _deferred(count: int | Callable[[], int], unpack: Callable[[], tuple[int, ...]]) -> IntSet:
+    """IntSet of the `count` kernel outputs unpack() returns, all within
+    SAFE_BOUND, left pending; `count` may be a function that returns it."""
     result = object.__new__(_Pending)
     _ELEMENTS.__set__(result, [count, unpack])
     return result
@@ -340,8 +350,9 @@ def _scaled_offsets(el: tuple[int, ...]) -> tuple[list[int], int]:
 _FIRST_CHECK = 8
 
 
-def _sum_mask(offsets: list[int]) -> int:
-    """The mask with bit s set for each sum s of two offsets.
+def _sum_mask(offsets: list[int], bits: int) -> int:
+    """The mask with bit s set for each sum s of two offsets, from `bits`,
+    the mask of the offsets themselves.
 
     Shifts by the outermost offsets first, o[0], o[n-1], o[1], o[n-2], ...
     After k shifts from each end, every sum with a summand among those 2k
@@ -355,7 +366,6 @@ def _sum_mask(offsets: list[int]) -> int:
     |A| shifts.
     """
     n = len(offsets)
-    bits = _packed(offsets, 0)
     acc = 0
     done, k = 0, _FIRST_CHECK
     while 2 * k < n:
@@ -373,8 +383,9 @@ def _sum_mask(offsets: list[int]) -> int:
     return acc
 
 
-def _diff_mask(offsets: list[int]) -> int:
-    """The mask with bit d set for each difference d >= 0 of two offsets.
+def _diff_mask(offsets: list[int], bits: int) -> int:
+    """The mask with bit d set for each difference d >= 0 of two offsets, from
+    `bits`, the mask of the offsets themselves.
 
     Shifts right by the offsets in rising order.  After k shifts the ones
     left, by o[k] .. o[n-1], each set bits only in [0, span - o[k]]: the
@@ -384,7 +395,6 @@ def _diff_mask(offsets: list[int]) -> int:
     the first shifts; a dense set's prefix is full soon after.
     """
     n, span = len(offsets), offsets[-1]
-    bits = _packed(offsets, 0)
     acc = 0
     done, k = 0, _FIRST_CHECK
     while k < n:
@@ -501,32 +511,87 @@ def _takes_hash_path(A: IntSet, name: str = "A") -> bool:
     return False
 
 
+def _check_sums(el: tuple[int, ...]) -> None:
+    """Raise as the element check on the sorted A+A of the nonempty A with
+    elements `el` would, without making A+A: name its first sum past
+    SAFE_BOUND, 2*min A if that is below -SAFE_BOUND, else the least sum above
+    SAFE_BOUND, a + the least b with a + b > SAFE_BOUND, by one bisect per a."""
+    if 2 * el[0] < -SAFE_BOUND:
+        raise _past_bound(2 * el[0])
+    if 2 * el[-1] > SAFE_BOUND:
+        n = len(el)
+        raise _past_bound(min(a + el[i] for a in el if (i := bisect_right(el, SAFE_BOUND - a)) < n))
+
+
 def _kernel_work(A: IntSet) -> int:
     """The work of sumset(A) and of diffset(A) on nonempty A: |A|^2 on the
     hash path, |A|*(diameter+1) on the bitset path.  On a set they refuse it
     raises their ValueError."""
     hashed = _takes_hash_path(A)
-    # Past this a sum leaves the element bound, and sumset names it; short
-    # of it every difference is within too, as the diameter is at most 2*max|a|.
-    if 2 * max(A.max, -A.min) > SAFE_BOUND:
-        sumset(A)
+    # When every sum is within the element bound, every difference is too, as
+    # the diameter is at most 2*max|a|.
+    _check_sums(A.elements)
     return len(A) * len(A) if hashed else len(A) * (A.diameter + 1)
 
 
+class _Memo:
+    """What the kernel has worked out for the set A: on the bitset path the
+    scaled offsets, their step and their packed mask, from which both A+A and
+    A-A start (`operands`); the sumset and diffset it returned for A, or None."""
+
+    __slots__ = ("A", "_operands", "sums", "diffs")
+
+    def __init__(self, A: IntSet) -> None:
+        self.A = A
+        self._operands = self.sums = self.diffs = None
+
+    def operands(self) -> tuple[list[int], int, int]:
+        """The offsets (a - min A)/g, rising, g, and their packed mask."""
+        ops = self._operands
+        if ops is None:
+            offsets, g = _scaled_offsets(self.A.elements)
+            ops = self._operands = offsets, g, _packed(offsets, 0)
+        return ops
+
+
+# The memo of the last nonempty set the kernel was handed and did not refuse.
+# Identity, not equality, picks it, as comparing a pending result unpacks it.
+# Each call reads it once and then works on that memo alone, so threads need
+# no lock: two that race to replace it each keep their own, and at worst the
+# next call makes a memo again.
+_last: _Memo | None = None
+
+
+def _memo(A: IntSet) -> _Memo:
+    """The memo of A: the last one if it is A's, else a new one, which replaces it."""
+    global _last
+    memo = _last
+    if memo is None or memo.A is not A:
+        memo = _last = _Memo(A)
+    return memo
+
+
 def sumset(A: IntSet) -> IntSet:
-    """The set {a+b : a, b in A}."""
+    """The set {a+b : a, b in A}.  The same A twice in a row gets the same
+    object back."""
     if not A:
         return IntSet()
+    hashed = _takes_hash_path(A)
     el = A.elements
-    if _takes_hash_path(A):
-        # Counted through a set, merged only when the elements are read.
-        count = lambda: _distinct(_pair_rows(el, False))
-        unpack = lambda: tuple(_merged(_pair_rows(el, False)))
-    else:
-        offsets, g = _scaled_offsets(el)
-        mask, base = _sum_mask(offsets), 2 * A.min
-        count, unpack = mask.bit_count(), lambda: _unpack(mask, base, g)
-    return _deferred(count, 2 * A.min, 2 * A.max, unpack)
+    _check_sums(el)
+    memo = _memo(A)
+    result = memo.sums
+    if result is None:
+        if hashed:
+            # Counted through a set, merged only when the elements are read.
+            count = lambda: _distinct(_pair_rows(el, False))
+            unpack = lambda: tuple(_merged(_pair_rows(el, False)))
+        else:
+            offsets, g, bits = memo.operands()
+            mask, base = _sum_mask(offsets, bits), 2 * el[0]
+            count, unpack = mask.bit_count(), lambda: _unpack(mask, base, g)
+        result = memo.sums = _deferred(count, unpack)
+    return result
 
 
 def _mirrored(positive: Sequence[int]) -> tuple[int, ...]:
@@ -535,19 +600,27 @@ def _mirrored(positive: Sequence[int]) -> tuple[int, ...]:
 
 
 def diffset(A: IntSet) -> IntSet:
-    """The set {a-b : a, b in A}; symmetric about 0."""
+    """The set {a-b : a, b in A}; symmetric about 0.  The same A twice in a
+    row gets the same object back."""
     if not A:
         return IntSet()
+    hashed = _takes_hash_path(A)
+    if A.diameter > SAFE_BOUND:
+        raise _past_bound(-A.diameter)
     el = A.elements
-    # Only the positive differences are found; the rest is their mirror.
-    if _takes_hash_path(A):
-        count = lambda: 2 * _distinct(_pair_rows(el, True)) + 1
-        unpack = lambda: _mirrored(_merged(_pair_rows(el, True)))
-    else:
-        offsets, g = _scaled_offsets(el)
-        mask = _diff_mask(offsets) >> 1
-        count, unpack = 2 * mask.bit_count() + 1, lambda: _mirrored(_unpack(mask, g, g))
-    return _deferred(count, -A.diameter, A.diameter, unpack)
+    memo = _memo(A)
+    result = memo.diffs
+    if result is None:
+        # Only the positive differences are found; the rest is their mirror.
+        if hashed:
+            count = lambda: 2 * _distinct(_pair_rows(el, True)) + 1
+            unpack = lambda: _mirrored(_merged(_pair_rows(el, True)))
+        else:
+            offsets, g, bits = memo.operands()
+            mask = _diff_mask(offsets, bits) >> 1
+            count, unpack = 2 * mask.bit_count() + 1, lambda: _mirrored(_unpack(mask, g, g))
+        result = memo.diffs = _deferred(count, unpack)
+    return result
 
 
 def affine(A: IntSet, x: int, y: int) -> IntSet:

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -827,7 +828,9 @@ class TestPendingResults:
 
     def _like(self, kernel, naive, A):
         want = IntSet(tuple(sorted(naive(A))))
-        fresh = lambda: kernel(A)  # noqa: E731
+        # The kernel hands the same A the same result back, so each use asks
+        # about an equal but distinct copy.
+        fresh = lambda: kernel(IntSet(A.elements))  # noqa: E731
         assert _is_pending(fresh())
         # len and bool answer from the count and leave the result pending;
         # the elements read after them are the double loop's.
@@ -896,7 +899,7 @@ class TestPendingResults:
     def test_a_reader_between_the_two_stores_sees_the_tuple(self, conway):
         # The first read stores the tuple, then changes the class; a thread
         # that runs in between finds the tuple in the slot.
-        X = sumset(conway)
+        X = sumset(IntSet(conway.elements))
         want = tuple(sorted(naive_sumset(conway)))
         intset_module._ELEMENTS.__set__(X, want)
         assert _is_pending(X)
@@ -916,6 +919,92 @@ class TestPendingResults:
         with pytest.raises(ValueError) as got:
             sumset(A)
         assert str(got.value) == str(want.value)
+
+
+def _unpacked_then_checked(A, diff):
+    """The refusal the kernel once raised for a result past the element bound:
+    every output made, on A's own path, then checked in rising order."""
+    m = intset_module
+    el = A.elements
+    if m._takes_hash_path(A):
+        if diff:
+            outputs = m._mirrored(m._merged(m._pair_rows(el, True)))
+        else:
+            outputs = tuple(m._merged(m._pair_rows(el, False)))
+    else:
+        offsets, g = m._scaled_offsets(el)
+        bits = m._packed(offsets, 0)
+        if diff:
+            outputs = m._mirrored(m._unpack(m._diff_mask(offsets, bits) >> 1, g, g))
+        else:
+            outputs = m._unpack(m._sum_mask(offsets, bits), 2 * el[0], g)
+    m._check_elements(outputs)
+
+
+# 2**61 + 2**61 = 2**62 is the first sum past the bound of a set around 2**61.
+_NEAR_TOP = 2**61
+
+
+class TestBoundRefusal:
+    """A sum or difference past the element bound is refused with the message
+    the full check of the outputs gives, without making them."""
+
+    @pytest.mark.parametrize("A, diff, hashed", [
+        # The CLI's literal 0..2046,4611686018427387000: 4194304 pairs.
+        (make_set([*range(2047), 4611686018427387000]), False, True),
+        (make_set([*range(-2046, 1), -4611686018427387000]), False, True),
+        (affine(interval(-1500, 1500), 3, _NEAR_TOP), False, False),
+        (affine(interval(-1500, 1500), 3, -_NEAR_TOP), False, False),
+        (make_set([_NEAR_TOP - 2**40, *range(_NEAR_TOP - 10, _NEAR_TOP + 10)]), False, True),
+        # A difference passes the bound only past the span cut, at -diameter.
+        (make_set([-(2**62) + 1, *range(0, 2**40 * 2046, 2**40), 2**62 - 1]), True, True),
+        (make_set([-(2**62) + 1, 2**62 - 1]), True, True),
+    ])
+    def test_message_as_after_unpacking(self, A, diff, hashed):
+        assert intset_module._takes_hash_path(A) == hashed
+        kernel = diffset if diff else sumset
+        with pytest.raises(ValueError) as want:
+            _unpacked_then_checked(A, diff)
+        assert "exceeds the safe element bound 2**62-1" in str(want.value)
+        for fn in (kernel, profile, classify):
+            with pytest.raises(ValueError) as got:
+                fn(A)
+            assert str(got.value) == str(want.value)
+
+    @given(st.sets(st.integers(-(2**20), 2**20), min_size=1, max_size=12),
+           st.integers(1, 2**30), st.sampled_from([-1, 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_least_sum_past_the_bound(self, offsets, step, sign):
+        # Sets around +-2**61, on either path: the first sum past the bound
+        # is wherever the offsets put it.
+        A = make_set(sign * (_NEAR_TOP + step * v) for v in offsets)
+        want = tuple(sorted(naive_sumset(A)))
+        if want[0] >= -intset_module.SAFE_BOUND and want[-1] <= intset_module.SAFE_BOUND:
+            assert sumset(A).elements == want
+            return
+        with pytest.raises(ValueError) as ref:
+            intset_module._check_elements(want)
+        with pytest.raises(ValueError) as got:
+            sumset(A)
+        assert str(got.value) == str(ref.value)
+
+    def test_refused_without_making_the_sums(self):
+        # Unpacking first took 0.44 s and 101 MB on a 2-vCPU machine.
+        A = make_set([*range(2047), 4611686018427387000])
+        assert intset_module._takes_hash_path(A)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"\|4611686018427387904\| exceeds"):
+            sumset(A)
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"\|4611686018427387904\| exceeds"):
+                profile(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 2**20
 
 
 class TestCountsWithoutUnpacking:
