@@ -7,11 +7,11 @@ step, packs them into one Python int, and shifts/ORs it once per element, but
 stops as soon as the shifts left to do can set no new bit (see _sum_mask and
 _diff_mask).  The hash kernel serves sets so sparse that |A|^2 is below
 their diameter.  It makes the sums a+b with a <= b (or the positive
-differences) as rising rows, one per element, each by a few big-int
-operations on 64-bit fields packed into one int (_pair_rows).  It counts
-the rows' distinct values through a set, and merges the sorted rows,
-dropping repeats, only to list them.  The naive double-loop enumeration
-lives in the test suite as an independent oracle.
+differences) as rising rows of plain ints, one list per element
+(_pair_rows).  It counts the rows' distinct values through a set, and
+merges the rows as sorted runs, dropping repeats, only to list them.  The
+naive double-loop enumeration lives in the test suite as an independent
+oracle.
 
 A result counts before it unpacks.  sumset and diffset return an IntSet
 that holds the count, or on the hash path a function that takes it on the
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import enum
 import re
-import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -292,7 +291,11 @@ def make_set(values: Iterable[int]) -> IntSet:
 
 
 def interval(lo: int, hi: int) -> IntSet:
-    """The inclusive integer interval [lo, hi]; empty when lo > hi."""
+    """The inclusive integer interval [lo, hi]; empty when lo > hi.  An
+    interval of more than _RANGE_LIMIT values is refused, as an a..b literal
+    token is."""
+    if hi - lo >= _RANGE_LIMIT:
+        raise ValueError(f"interval [{lo}, {hi}] spans more than {_RANGE_LIMIT} values")
     return IntSet(tuple(range(lo, hi + 1)))
 
 
@@ -432,61 +435,21 @@ def _distinct(rows: Iterable[Iterable[int]]) -> int:
     return len(seen)
 
 
-# Field j of a packed row is bits 64j .. 64j+63 of one int.  array lays its
-# items out in native byte order: on a big-endian machine item 0 would be the
-# top field, so there the items are reversed to keep item j in field j.
-_BIG_ENDIAN = sys.byteorder == "big"
-
-# Sums are packed as a + 2**62, in [1, 2**63 - 1] for |a| <= SAFE_BOUND.
-_SUM_BIAS = 1 << 62
-
-
-def _pair_rows(el: tuple[int, ...], diff: bool) -> Iterator[Sequence[int]]:
+def _pair_rows(el: tuple[int, ...], diff: bool) -> Iterator[list[int]]:
     """The rising rows of A's pair sums, a + A[i:] for each element a = A[i];
-    with `diff`, of its positive differences, A[i+1:] - a.
-
-    The elements are packed one 64-bit field each into one int, so a few
-    big-int operations make a whole row, none of which carries or borrows
-    across a field.  A sum field holds (a + 2**62) + (b + 2**62) =
-    a + b + 2**63, in [2, 2**64 - 2]; flipping its top bit leaves a + b in
-    two's complement.  A difference field holds (b - min A) - (a - min A)
-    with b above a, in [1, 2**63).
-    """
-    # Imported here, not with the module, so that a process that never takes
-    # the hash path, as most CLI calls do not, never loads it.
-    from array import array
-
-    def pack(values: Iterable[int]) -> int:
-        fields = array("Q", values)
-        if _BIG_ENDIAN:
-            fields.reverse()
-        return int.from_bytes(fields, sys.byteorder)
-
-    def read(packed: int, count: int) -> array:
-        row = array("q", packed.to_bytes(8 * count, sys.byteorder))
-        if _BIG_ENDIAN:
-            row.reverse()
-        return row
-
-    n = len(el)
-    ones = pack(repeat(1, n))
+    with `diff`, of its positive differences, A[i+1:] - a."""
     if diff:
-        lo = el[0]
-        packed = pack(map(lo.__rsub__, el))
-        # The row of a = el[i-1] takes the fields of el[i:].
+        # The row of a = el[i-1] takes el[i:].
         for i, a in enumerate(el, 1):
-            ones >>= 64
-            yield read((packed >> 64 * i) - (a - lo) * ones, n - i)
+            yield [b - a for b in el[i:]]
     else:
-        packed = pack(map(_SUM_BIAS.__add__, el))
         for i, a in enumerate(el):
-            yield read(((packed >> 64 * i) + (a + _SUM_BIAS) * ones) ^ (ones << 63), n - i)
-            ones >>= 64
+            yield [a + b for b in el[i:]]
 
 
 def _takes_hash_path(A: IntSet, name: str = "A") -> bool:
     """Whether the kernel takes the hash path, making A's pair sums and
-    differences as packed rows, counted through a set and merged only when
+    differences as plain rows, counted through a set and merged only when
     read, rather than packing a bitset.
 
     Past the span cut it must, and refuses more than _PAIR_LIMIT pairs.

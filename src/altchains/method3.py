@@ -17,7 +17,7 @@ whose sumset misses 10, and 5+5 restores exactly that one sum.  Phases 2 and
 from __future__ import annotations
 
 from .chains import Chain, MethodTag, _grow
-from .intset import IntSet, diffset, make_set, sumset
+from .intset import _RANGE_LIMIT, IntSet, diffset, make_set, sumset
 
 CORE_ELEMENTS = (-7, 0, 5, 8, 15)
 EXCLUDED = frozenset((-9, 1, 2, 6, 7, 17))
@@ -27,7 +27,11 @@ _PERIOD = (((36, 5),), ((-28, -5),), ((37, 5),), ((-29, -5),))
 
 
 def phase1_set(k: int) -> IntSet:
-    """The block-k phase-1 member from its compact description."""
+    """The block-k phase-1 member from its compact description.  A block
+    whose members could hold more than _RANGE_LIMIT elements (its phase-4
+    member holds 4k + 26) is refused before any is built."""
+    if 4 * k + 26 > _RANGE_LIMIT:
+        raise ValueError(f"block {k} holds members of more than {_RANGE_LIMIT} elements")
     prog = (5 * l + delta for l in range(-k - 5, k + 7) for delta in (1, 2))
     kept = set(CORE_ELEMENTS).union(prog).difference(EXCLUDED)
     return make_set(kept)

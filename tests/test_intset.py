@@ -237,6 +237,17 @@ class TestSetLiterals:
         with pytest.raises(ValueError, match="spans more than"):
             parse_set_literal(f"0..{2**40}")
 
+    def test_interval_bounded_as_a_range_token(self, monkeypatch):
+        # interval follows the rule of an a..b token: hi - lo below the limit.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^interval \[0, 10000000000\] spans more than 16777216 values$"):
+            interval(0, 10**10)
+        assert time.perf_counter() - start < 1
+        monkeypatch.setattr(intset_module, "_RANGE_LIMIT", 100)
+        assert len(interval(-50, 49)) == 100 and interval(5, 4) == IntSet()
+        with pytest.raises(ValueError, match=r"^interval \[-50, 50\] spans more than 100 values$"):
+            interval(-50, 50)
+
     def test_total_size_capped(self, monkeypatch):
         monkeypatch.setattr(intset_module, "_RANGE_LIMIT", 100)
         assert len(parse_set_literal("0..49,100..149")) == 100
@@ -539,8 +550,8 @@ class TestMergedHashPath:
     @example({-intset_module.SAFE_BOUND, intset_module.SAFE_BOUND})
     @example({-intset_module.SAFE_BOUND, -intset_module.SAFE_BOUND + 1, 0})
     def test_rows_at_any_element(self, values):
-        # The packed fields hold every sum and difference of elements within
-        # the bound, even those past it that the kernel then refuses.
+        # The rows hold every sum and difference of elements within the
+        # bound, even those past it that the kernel then refuses.
         el = tuple(sorted(values))
         sums = [list(row) for row in intset_module._pair_rows(el, False)]
         diffs = [list(row) for row in intset_module._pair_rows(el, True)]
@@ -1055,6 +1066,33 @@ class TestCountsWithoutUnpacking:
         p = profile(A)
         assert (p.sum_card, p.diff_card) == (300 * 301 // 2, 300 * 299 + 1)
         assert classify(A) is SetClass.MDTS
+
+    def test_hash_path_at_the_pair_limit(self, monkeypatch):
+        # |A| = 2048 is the largest set the hash path takes.  A Sidon set of
+        # 2048 elements, diameter 2*2053*2047 below the span cut: counted
+        # without a merge, every pair sum and positive difference distinct.
+        A = make_set(2 * 2053 * k + k * k % 2053 for k in range(2048))
+        assert len(A) ** 2 == intset_module._PAIR_LIMIT
+        assert A.diameter < intset_module._BITSET_SPAN_LIMIT
+        assert intset_module._takes_hash_path(A)
+        self._refuse(monkeypatch, "_merged")
+        p = profile(A)
+        assert (p.sum_card, p.diff_card) == (2048 * 2049 // 2, 2048 * 2047 + 1) == (2098176, 4192257)
+        assert classify(A) is SetClass.MDTS
+
+    @pytest.mark.parametrize("count_first", [True, False])
+    def test_hash_path_progression_at_the_pair_limit(self, count_first):
+        # A 2048-term progression past the span cut: every sum and difference
+        # repeats, and both read as their closed forms in either order.
+        step = 2**25
+        A = IntSet(tuple(i * step for i in range(2048)))
+        assert intset_module._takes_hash_path(A) and A.diameter > intset_module._BITSET_SPAN_LIMIT
+        S, D = sumset(A), diffset(A)
+        if count_first:
+            assert (len(S), len(D)) == (4095, 4095)
+        assert S.elements == tuple(range(0, 4095 * step, step))
+        assert D.elements == tuple(range(-2047 * step, 2048 * step, step))
+        assert (len(S), len(D)) == (4095, 4095)
 
     def test_hash_path_diffset_mirror(self, monkeypatch):
         A = parse_set_literal("0..4,100000000..100000004,300000007")

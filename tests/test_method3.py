@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+import altchains.method3
 from altchains import (
     SetClass,
     affine,
@@ -147,3 +150,29 @@ class TestCoreSymmetry:
     def test_core_misses_the_ten_makers(self):
         B = set_m3(1).without(5)
         assert all(v not in B for v in (-5, 2, 10, 17))
+
+
+class TestSizeRefusal:
+    """A block whose members could hold more than _RANGE_LIMIT elements is
+    refused before any element is made."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: phase1_set(2 * 10**8),
+        lambda: set_m3(10**9),
+        lambda: delta_counts(10**9),
+        lambda: set_m3(10**30 + 2),
+    ])
+    def test_refused_at_once(self, build):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"holds members of more than 16777216 elements$"):
+            build()
+        assert time.perf_counter() - start < 1
+
+    def test_largest_member_at_the_limit(self, monkeypatch):
+        # Block 1's members hold 27..30 elements, block 2's 31..34.
+        monkeypatch.setattr(altchains.method3, "_RANGE_LIMIT", 30)
+        assert [len(set_m3(i)) for i in range(5, 9)] == [27, 28, 29, 30]
+        assert delta_counts(8) == (4, 6)
+        for i in (9, 12):
+            with pytest.raises(ValueError, match="^block 2 holds members of more than 30 elements$"):
+                set_m3(i)

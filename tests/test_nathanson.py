@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import altchains.intset
@@ -126,6 +128,12 @@ class TestIntervalLemma:
     def test_m_out_of_range(self):
         with pytest.raises(ValueError, match="m must be >= 4, got 3"):
             check_interval_lemma(3, 2)
+
+    def test_oversized_interval_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^interval \[0, 9999999999\] spans more than 16777216 values$"):
+            check_interval_lemma(10**10, 5)
+        assert time.perf_counter() - start < 1
 
     def test_lemma_statement_directly(self):
         # independent spot check of the identity the lemma asserts
