@@ -14,7 +14,6 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .intset import (
-    _BITSET_SPAN_LIMIT,
     _BITSET_WORK_LIMIT,
     _RANGE_LIMIT,
     IntSet,
@@ -33,6 +32,11 @@ Failure = tuple[int, str, Witness]
 Appends = tuple[int, ...] | None
 # One step's appends in the first period, each as (element, shift per period).
 Slot = tuple[tuple[int, int], ...]
+
+# Past this hull the four masks of a chain stop being cheap (2 MiB of bits
+# each), so its members are profiled by the kernel instead.
+_BITSET_SPAN_LIMIT = 1 << 24
+
 
 class MethodTag(enum.Enum):
     METHOD1 = "Method1"
@@ -111,8 +115,9 @@ class _Masks:
 
 class _Kernel:
     """The `_Masks` interface, with each set's sums and differences computed
-    afresh by the kernel: for hulls past the bitset cut, where it takes the hash
-    path."""
+    afresh by the kernel: for hulls past the masks' cut.  The kernel hashes
+    such a member when its pairs are fewer than its diameter and fit the pair
+    limit, and packs it otherwise."""
 
     def advance(self, cur: IntSet, new: Sequence[int] | None) -> None:
         self.current, self.sums, self.diffs = cur, sumset(cur), diffset(cur)
@@ -129,14 +134,15 @@ class _Kernel:
 
 def _accumulator(members: Sequence[IntSet], appends: Sequence[Appends]) -> _Masks | _Kernel:
     """Masks anchored at the hull of the nonempty `members`, or the kernel past
-    the bitset cut, to profile them, or sets within their hull, in order.
+    a hull of _BITSET_SPAN_LIMIT, to profile them, or sets within their hull,
+    in order.
 
     The members are priced first, in order.  One that appends k elements
     (`appends`, as _appended gives them) to masks of hull h costs k*(h+1),
     one shift-OR of each mask per element; any other, and every member past
-    the bitset cut, costs the kernel's work.  The first member that the
-    kernel refuses, or at which the running total passes _BITSET_WORK_LIMIT,
-    raises that refusal.
+    the masks' cut, costs the kernel's work, priced by its path
+    (_kernel_work).  The first member that the kernel refuses, or at which
+    the running total passes _BITSET_WORK_LIMIT, raises that refusal.
     """
     lo, hi = min(s.min for s in members), max(s.max for s in members)
     masks = hi - lo <= _BITSET_SPAN_LIMIT
@@ -176,7 +182,7 @@ class Chain(_Record):
         if not all(members):
             raise ValueError("cannot profile the empty set")
         # Each member's profile grows from the previous one's where it appends;
-        # the kernel computes the others, and every member past the bitset cut.
+        # the kernel computes the others, and every member past the masks' cut.
         acc = _accumulator(members, appends)
         profiles = []
         for s, new in zip(members, appends):
@@ -310,7 +316,8 @@ def limiting_density(chain: Chain, probe_index: int) -> tuple[Fraction | None, F
     """(analytic limit, observed density) at an odd probe position.
 
     The analytic limit is card_rate/diam_rate from growth_rates; it is None
-    for External chains, which carry no construction to extrapolate.
+    for External chains, which carry no construction to extrapolate.  A chain
+    whose MSTD members do not grow in diameter has none, and is refused.
     """
     if probe_index % 2 == 0 or probe_index < 1:
         raise ValueError(f"probe index must be odd and positive, got {probe_index}")
@@ -322,5 +329,7 @@ def limiting_density(chain: Chain, probe_index: int) -> tuple[Fraction | None, F
     analytic: Fraction | None = None
     if chain.method_tag is not MethodTag.EXTERNAL:
         card_rate, diam_rate = growth_rates(chain)
+        if not diam_rate:
+            raise ValueError("no analytic limit: the chain's MSTD members do not grow in diameter")
         analytic = card_rate / diam_rate
     return analytic, density

@@ -46,19 +46,21 @@ from operator import lt, ne, neg
 # Elements are capped so that a+b always fits a signed 64-bit word.
 SAFE_BOUND = 2**62 - 1
 
-# Above this diameter the packed masks stop being cheap (2 MiB of bits), so
-# every set wider than this takes the hash path.
-_BITSET_SPAN_LIMIT = 1 << 24
-
-# The hash path holds up to |A|^2/2 pair sums at once.  Past the span cut it
-# refuses |A|^2 above this, i.e. |A| > 2048; below the cut it only takes sets
-# within the limit and leaves the rest to the bitset path.
+# The hash path holds up to |A|^2/2 pair sums at once, so it takes no set
+# with |A|^2 above this, i.e. |A| > 2048; such a set packs instead.
 _PAIR_LIMIT = 1 << 22
 
 # The bitset path shifts a (diameter+1)-bit mask up to |A| times; it stops
 # early on dense sets, but a set with holes in the middle of A+A takes every
 # shift, so it refuses more work than this.
 _BITSET_WORK_LIMIT = 1 << 36
+
+# What one of the |A|^2 pairs of the hash path costs in bitset work units.
+# Counting sums and differences of random sets over 2**40 took 100-270 ns
+# per |A|^2 at |A| = 300 to 2048, and of random sets that take every shift
+# 0.08-0.10 ns per |A|*(diameter+1) at |A| = 2100 to 4000 (2 vCPUs); this
+# price is the low end of their ratio.
+_HASH_PAIR_COST = 1 << 10
 
 
 class SetClass(enum.Enum):
@@ -452,18 +454,11 @@ def _takes_hash_path(A: IntSet, name: str = "A") -> bool:
     differences as plain rows, counted through a set and merged only when
     read, rather than packing a bitset.
 
-    Past the span cut it must, and refuses more than _PAIR_LIMIT pairs.
-    Below it, the rows win when the pairs number fewer than the diameter, and
-    the bitset path refuses past _BITSET_WORK_LIMIT.  Refusals call A `name`.
+    The rows win when the pairs number fewer than the diameter and fit
+    _PAIR_LIMIT; every other set packs, and the bitset path refuses one whose
+    work passes _BITSET_WORK_LIMIT.  The refusal calls A `name`.
     """
     n2 = len(A) * len(A)
-    if A.diameter > _BITSET_SPAN_LIMIT:
-        if n2 > _PAIR_LIMIT:
-            raise ValueError(
-                f"|{name}| = {len(A)} is too large for a set of diameter above "
-                f"{_BITSET_SPAN_LIMIT}: its {n2} pairs exceed the limit of {_PAIR_LIMIT}"
-            )
-        return True
     if n2 < A.diameter and n2 <= _PAIR_LIMIT:
         return True
     if len(A) * (A.diameter + 1) > _BITSET_WORK_LIMIT:
@@ -487,14 +482,15 @@ def _check_sums(el: tuple[int, ...]) -> None:
 
 
 def _kernel_work(A: IntSet) -> int:
-    """The work of sumset(A) and of diffset(A) on nonempty A: |A|^2 on the
-    hash path, |A|*(diameter+1) on the bitset path.  On a set they refuse it
-    raises their ValueError."""
+    """The work of sumset(A) and of diffset(A) on nonempty A, in bitset work
+    units: |A|*(diameter+1) on the bitset path, and _HASH_PAIR_COST for each
+    of the |A|^2 pairs on the hash path.  On a set they refuse it raises
+    their ValueError."""
     hashed = _takes_hash_path(A)
     # When every sum is within the element bound, every difference is too, as
     # the diameter is at most 2*max|a|.
     _check_sums(A.elements)
-    return len(A) * len(A) if hashed else len(A) * (A.diameter + 1)
+    return len(A) * len(A) * _HASH_PAIR_COST if hashed else len(A) * (A.diameter + 1)
 
 
 class _Memo:

@@ -77,10 +77,13 @@ def build_base(m: int, d: int, k: int) -> NathansonParams:
 
 
 def check_interval_lemma(m: int, r: int) -> bool:
-    """Whether [0,m-1] minus {r} has full interval sumset and diffset."""
+    """Whether [0,m-1] minus {r} has full interval sumset and diffset.
+
+    B keeps 0 and m-1, so B+B lies in [0, 2m-2] and B-B in [-(m-1), m-1],
+    each 2m-1 integers: they are full exactly when they count 2m-1."""
     if m < 4:
         raise ValueError(f"m must be >= 4, got {m}")
     if not 2 <= r <= m - 3:
         raise ValueError(f"r must lie in [2, {m - 3}], got {r}")
     B = interval(0, m - 1).without(r)
-    return sumset(B) == interval(0, 2 * m - 2) and diffset(B) == interval(-(m - 1), m - 1)
+    return len(sumset(B)) == len(diffset(B)) == 2 * m - 1

@@ -55,7 +55,8 @@ class TestChainContainer:
 class TestRebuildWork:
     """Chain.from_sets adds up, before computing any, the kernel work of the
     members it rebuilds (the first, each that does not append, and all of
-    them past the bitset cut) and the mask work of each appended element."""
+    them past the masks' cut of 2**24) and the mask work of each appended
+    element.  A hash-path pair costs 2**10 bitset work units."""
 
     LIMIT_MESSAGE = "rebuilding the chain's members from the kernel exceeds the work limit of {}"
 
@@ -98,12 +99,14 @@ class TestRebuildWork:
         self._refused(members, 379, monkeypatch)
 
     def test_every_member_is_charged_past_the_bitset_cut(self, conway, monkeypatch):
-        # Dilated past 2**24, each member takes the hash path: |A|^2 apiece.
+        # Dilated past 2**24, each member takes the hash path: |A|^2 pairs
+        # apiece, at 2**10 each.
         wide = [affine(s, 2**22, 0) for s in generate_chain_m1(conway, 17, 3).sets]
         assert [len(s) for s in wide] == [8, 9, 16]
-        monkeypatch.setattr(altchains.chains, "_BITSET_WORK_LIMIT", 64 + 81 + 256)
+        work = (64 + 81 + 256) * 2**10
+        monkeypatch.setattr(altchains.chains, "_BITSET_WORK_LIMIT", work)
         assert len(Chain.from_sets(wide, MethodTag.EXTERNAL)) == 3
-        self._refused(wide, 64 + 81 + 255, monkeypatch)
+        self._refused(wide, work - 1, monkeypatch)
 
     def test_a_member_the_kernel_refuses_keeps_its_own_message(self, monkeypatch):
         # The count stops at 1..399999, whose own refusal is raised as before,
@@ -123,10 +126,18 @@ class TestRebuildWork:
         members = [make_set(range(1000)), make_set(range(1, 400000))]
         with pytest.raises(ValueError, match=r"\|A\| = 399999 is too large for a set of diameter 399998"):
             Chain.from_sets(members, MethodTag.EXTERNAL)
-        # Past the bitset cut every member is rebuilt.  Member 512 of the
-        # dilated Conway chain holds 2049 elements, past the pair limit.
-        with pytest.raises(ValueError, match=r"\|A\| = 2049 is too large for a set of diameter above"):
-            generate_chain_m1(affine(conway, 10**8, 0), 17 * 10**8, 801)
+        # Past the masks' cut every member is rebuilt.  The 801-step dilated
+        # Conway chain passes the work limit on the hash path long before
+        # member 512, whose 2049 elements pack and pass the bitset work
+        # bound; past a higher chain limit the kernel refuses that member.
+        dilated = affine(conway, 10**8, 0)
+        with pytest.raises(ValueError, match=self.LIMIT_MESSAGE.format(2**36)):
+            generate_chain_m1(dilated, 17 * 10**8, 801)
+        monkeypatch.setattr(altchains.chains, "_BITSET_WORK_LIMIT", 2**60)
+        fault = (r"^\|A\| = 2049 is too large for a set of diameter 435200000000: "
+                 r"\|A\|\*\(diameter\+1\) exceeds the limit of 68719476736$")
+        with pytest.raises(ValueError, match=fault):
+            generate_chain_m1(dilated, 17 * 10**8, 801)
 
     def test_appends_after_a_refused_member_are_not_charged(self, monkeypatch):
         # 0..999 costs 10**6, at the limit.  The kernel refuses 1..399999 by
@@ -260,6 +271,20 @@ class TestLimitingDensity:
     def test_probe_must_be_in_range(self, m1_chain):
         with pytest.raises(ValueError):
             limiting_density(m1_chain, 9)
+
+    def test_mstd_members_that_do_not_grow_are_refused(self, conway):
+        # The MSTD members are all Conway's set, so their diameters do not
+        # grow and the construction has no limit to extrapolate.
+        mdts = make_set([-7, 0, 5, 8, 15])
+        members = [conway, mdts, conway, mdts, conway]
+        chain = Chain.from_sets(members, MethodTag.METHOD1)
+        assert [p.set_class for p in chain.profiles] == [SetClass.MSTD, SetClass.MDTS] * 2 + [SetClass.MSTD]
+        fault = "^no analytic limit: the chain's MSTD members do not grow in diameter$"
+        for probe in (1, 3, 5):
+            with pytest.raises(ValueError, match=fault):
+                limiting_density(chain, probe)
+        external = Chain.from_sets(members, MethodTag.EXTERNAL)
+        assert limiting_density(external, 5) == (None, Fraction(8, 14))
 
     def test_diameter_zero_probe_rejected(self):
         chain = Chain.from_sets((make_set([5]),), MethodTag.EXTERNAL)

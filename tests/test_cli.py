@@ -110,9 +110,21 @@ class TestClassify:
         assert main(["classify", "--set", "0..98,5"]) == 0
 
     def test_wide_set_over_pair_budget(self, capsys):
+        # Past the pair budget the set packs, and 2049 shifts of a mask of
+        # diameter 2**36 pass the bitset work bound.
         literal = ",".join(str(v) for v in range(0, 2049 * 2**25, 2**25))
         assert main(["classify", "--set", literal]) == 2
-        assert "|A| = 2049" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", (
+            "error: |A| = 2049 is too large for a set of diameter 68719476736: "
+            "|A|*(diameter+1) exceeds the limit of 68719476736\n"
+        ))
+
+    def test_wide_progression_past_the_pair_budget_answers(self, capsys):
+        # 2500 terms of step 2**13 span past 2**24; they pack at 2500 * 20471809
+        # units of work, within the bitset work bound.
+        literal = ",".join(str(i * 8192) for i in range(2500))
+        assert main(["classify", "--set", literal]) == 0
+        assert capsys.readouterr() == ("Balanced 4999 4999\n", "")
 
 
 class TestProfile:
@@ -146,12 +158,13 @@ class TestSearchModulus:
         assert main(["search-modulus", "--set", "0,1,2"]) == 2
 
     def test_wide_sumset_refusal_names_the_sumset(self, capsys):
-        # 320 elements hash, but their 2054 sums are past the pair budget.
+        # 320 elements hash, but their 2054 sums are past the pair budget, so
+        # they would pack, past the bitset work bound.
         literal = ",".join(str(10**6 * j + c) for j in range(40) for c in CONWAY_SET)
         assert main(["search-modulus", "--set", literal]) == 2
         assert capsys.readouterr() == ("", (
-            "error: |A+A| = 2054 is too large for a set of diameter above 16777216: "
-            "its 4218916 pairs exceed the limit of 4194304\n"
+            "error: |A+A| = 2054 is too large for a set of diameter 78000028: "
+            "|A+A|*(diameter+1) exceeds the limit of 68719476736\n"
         ))
 
     def test_dense_base_answers_in_time(self, capsys):
@@ -321,17 +334,18 @@ class TestChainVerbAndFiles:
         assert capsys.readouterr().err.startswith("error: a chain of 1000000000 steps holds more")
 
     def test_chain_with_a_refused_member_fails_fast(self, capsys):
-        # Member 512 of the Conway set dilated by 10**8 holds 2049 elements,
-        # past the hash path's pair limit.  Profiling the 511 members before
-        # it would take nearly a minute, so it must be refused first.
+        # Every member of the Conway set dilated by 10**8 is rebuilt on the
+        # hash path, at 2**10 work units a pair: the 801 members pass the
+        # work limit at member 232.  Profiling them would take minutes, so
+        # the chain must be refused before any member is profiled.
         base = ",".join(str(10**8 * a) for a in CONWAY_SET)
         began = time.perf_counter()
         args = ["chain", "--method", "1", "--set", base, "--n", "1700000000", "--steps", "801"]
         assert main(args) == 2
         assert time.perf_counter() - began < 5
         assert capsys.readouterr() == ("", (
-            "error: |A| = 2049 is too large for a set of diameter above 16777216: "
-            "its 4198401 pairs exceed the limit of 4194304\n"
+            "error: rebuilding the chain's members from the kernel exceeds the work "
+            "limit of 68719476736\n"
         ))
 
     def test_verify_refuses_long_file(self, capsys, monkeypatch, tmp_path):

@@ -33,7 +33,8 @@ from altchains import (
     verify_star_identities,
 )
 
-from altchains.intset import _BITSET_SPAN_LIMIT, SAFE_BOUND, _takes_hash_path
+from altchains.chains import _BITSET_SPAN_LIMIT
+from altchains.intset import SAFE_BOUND, _takes_hash_path
 
 from conftest import naive_diffset, naive_sumset
 
@@ -266,14 +267,15 @@ class TestStarIdentities:
 
 
 def reference_kernel_work(A):
-    """The kernel's work on A, or None if it refuses A (the former _kernel_work)."""
+    """The kernel's work on A, or None if it refuses A (the former _kernel_work):
+    each of the |A|^2 hash-path pairs costs 2**10 bitset work units."""
     try:
         hashed = _takes_hash_path(A)
     except ValueError:
         return None
     if 2 * max(A.max, -A.min) > SAFE_BOUND or A.diameter > SAFE_BOUND:
         return None
-    return len(A) * len(A) if hashed else len(A) * (A.diameter + 1)
+    return len(A) * len(A) * 2**10 if hashed else len(A) * (A.diameter + 1)
 
 
 def reference_accumulator(members, appends, limit):
@@ -304,8 +306,8 @@ def reference_accumulator(members, appends, limit):
     return ("masks", lo, hi) if hull is not None else ("kernel",)
 
 
-# Members the kernel refuses: by the bitset work, by the pairs past the span
-# cut, and by a sum past the element bound at either end.
+# Members the kernel refuses: by the bitset work, dense or dilated past
+# 2**24, and by a sum past the element bound at either end.
 REFUSED = [
     make_set(range(1, 400000)),
     make_set(range(0, 2049 * 2**14, 2**14)),

@@ -30,6 +30,7 @@ from altchains import (
     sumset,
 )
 
+import altchains.chains
 import altchains.intset as intset_module
 from conftest import naive_diffset, naive_sumset
 
@@ -275,7 +276,8 @@ class TestSetLiterals:
         assert parse_set_literal(format_set_literal(A)) == A
 
 
-# 2049 elements spaced 2**25 apart: a cheap set that takes the hash path.
+# 2049 elements spaced 2**25 apart: past the pair limit, so it packs, and
+# 2049 shifts of a mask of diameter 2**36 pass the bitset work bound.
 WIDE_2049 = IntSet(tuple(range(0, 2049 * 2**25, 2**25)))
 
 
@@ -289,9 +291,14 @@ class TestHashPathBudget:
         monkeypatch.setattr(intset_module, "_PAIR_LIMIT", 100)
         ten = IntSet(WIDE_2049.elements[:10])
         # An arithmetic progression: 19 sums and 19 differences.
+        assert intset_module._takes_hash_path(ten)
         assert len(sumset(ten)) == len(diffset(ten)) == 19
-        with pytest.raises(ValueError, match="limit of 100"):
-            sumset(IntSet(WIDE_2049.elements[:11]))
+        # Eleven terms pass the limit of 100 pairs and pack, however wide.
+        eleven = IntSet(WIDE_2049.elements[:11])
+        assert not intset_module._takes_hash_path(eleven)
+        step = 2**25
+        assert sumset(eleven).elements == tuple(range(0, 21 * step, step))
+        assert diffset(eleven).elements == tuple(range(-10 * step, 11 * step, step))
 
     def test_bitset_path_unlimited(self):
         # A dense set of more than 2048 elements takes the bitset path.
@@ -441,7 +448,7 @@ class TestKernelPaths:
         assert not intset_module._takes_hash_path(make_set([0, 1, 8]))
         assert not intset_module._takes_hash_path(make_set([0, 1, 9]))
         assert intset_module._takes_hash_path(make_set([0, 1, 10]))
-        # Below the span cut a set past the pair budget packs, never refuses.
+        # A set past the pair budget packs; only the bitset work bound refuses it.
         monkeypatch.setattr(intset_module, "_PAIR_LIMIT", 100)
         A = IntSet(tuple(range(0, 11 * 10**5, 10**5)))
         assert not intset_module._takes_hash_path(A)
@@ -495,6 +502,137 @@ class TestKernelPaths:
             for v in rising:
                 bits |= 1 << (top - v - b)
             assert intset_module._packed(map(top.__sub__, rising), b) == bits
+
+
+def reference_path_rule(A, name="A"):
+    """The path rule as it was with a span cut: past a diameter of 2**24 every
+    set hashed, and one of more than 2**22 pairs was refused."""
+    n2 = len(A) * len(A)
+    if A.diameter > 2**24:
+        if n2 > 2**22:
+            raise ValueError(
+                f"|{name}| = {len(A)} is too large for a set of diameter above "
+                f"{2**24}: its {n2} pairs exceed the limit of {2**22}"
+            )
+        return True
+    if n2 < A.diameter and n2 <= 2**22:
+        return True
+    if len(A) * (A.diameter + 1) > 2**36:
+        raise ValueError(
+            f"|{name}| = {len(A)} is too large for a set of diameter {A.diameter}: "
+            f"|{name}|*(diameter+1) exceeds the limit of {2**36}"
+        )
+    return False
+
+
+def _routed(rule, A):
+    """Whether `rule` hashes A, or the type and message of its refusal."""
+    try:
+        return rule(A)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _work_refusal(n, diameter, name="A"):
+    """The bitset work bound's refusal of a set of n elements."""
+    return (f"|{name}| = {n} is too large for a set of diameter {diameter}: "
+            f"|{name}|*(diameter+1) exceeds the limit of 68719476736")
+
+
+@st.composite
+def sized_sets(draw, wide):
+    """A set of 0..n-2 and a top element, for its size and diameter alone.
+    With `wide`, more than 2048 elements and a diameter past 2**24; else at
+    most 2048 elements, or a diameter of at most 2**24."""
+    if wide:
+        n = draw(st.integers(2049, 5000))
+        top = draw(st.integers(2**24 + 1, 2**62 - 1))
+    elif draw(st.booleans()):
+        n = draw(st.integers(1, 2048))
+        top = draw(st.integers(max(0, n - 1), 2**62 - 1))
+    else:
+        top = draw(st.integers(0, 2**24))
+        n = draw(st.integers(1, min(top + 1, 5000)))
+    return IntSet((*range(n - 1), top))
+
+
+class TestOneRoutingRule:
+    """The kernel routes by one rule: a set hashes when its pairs are fewer
+    than its diameter and fit the pair limit, else packs, and only the bitset
+    work bound refuses it.  The rule with a span cut routed every set the
+    same way, except those of more than 2048 elements past 2**24."""
+
+    @given(sized_sets(wide=False))
+    @example(IntSet((*range(2047), 2**24 + 1)))
+    @example(IntSet((*range(2048), 2**24)))
+    @example(IntSet((*range(4095), 2**24)))
+    @example(IntSet((*range(4096), 2**24)))
+    @settings(max_examples=300)
+    def test_routes_as_the_rule_with_a_span_cut(self, A):
+        assert len(A) <= 2048 or A.diameter <= 2**24
+        assert _routed(intset_module._takes_hash_path, A) == _routed(reference_path_rule, A)
+
+    @given(sized_sets(wide=True))
+    @example(IntSet((*range(2048), 2**24 + 1)))
+    @example(IntSet((*range(2048), 2**36 // 2049 - 1)))
+    @example(IntSet((*range(2048), 2**36 // 2049)))
+    @settings(max_examples=300)
+    def test_wide_sets_past_the_pair_limit_pack(self, A):
+        n, diameter = len(A), A.diameter
+        assert _routed(reference_path_rule, A)[1].endswith("exceed the limit of 4194304")
+        want = (ValueError, _work_refusal(n, diameter)) if n * (diameter + 1) > 2**36 else False
+        assert _routed(intset_module._takes_hash_path, A) == want
+
+    @pytest.mark.parametrize("n, step, hashed", [
+        (2048, 2**13, True),
+        (2049, 2**13, False),
+        (2500, 2**13, False),
+        (2048, 2**25, True),
+    ])
+    def test_dilated_progressions(self, n, step, hashed):
+        # Both kernels read a dilated progression as its closed forms, and it
+        # takes the path the rule names.  2500 terms of step 2**13 span past
+        # 2**24; the rule with a span cut refused them.
+        A = IntSet(tuple(range(0, n * step, step)))
+        assert intset_module._takes_hash_path(A) is hashed
+        assert _counts(A) == (2 * n - 1, 2 * n - 1)
+        if not hashed:
+            assert sumset(A).elements == tuple(range(0, (2 * n - 1) * step, step))
+            assert diffset(A).elements == tuple(range(-(n - 1) * step, n * step, step))
+
+    @pytest.mark.parametrize("n", [2049, 2500])
+    def test_dilated_progressions_past_the_work_bound(self, n):
+        A = IntSet(tuple(range(0, n * 2**25, 2**25)))
+        message = _work_refusal(n, (n - 1) * 2**25)
+        for fn in (sumset, diffset, profile, classify):
+            with pytest.raises(ValueError) as refusal:
+                fn(A)
+            assert str(refusal.value) == message
+
+    @pytest.mark.parametrize("diameter", [2**24 - 1, 2**24, 2**24 + 1])
+    @pytest.mark.parametrize("inner", [(1,), (1, 2, 5), (3, 1000, 2**23 + 1), (7, 2**20, 2**24 - 7)])
+    def test_small_sets_at_the_former_cut(self, diameter, inner):
+        # gcd 1, fewer pairs than the diameter: each hashes, on either side.
+        for base in (0, -(2**40) - 3):
+            A = make_set(base + v for v in (0, *inner, diameter) if v <= diameter)
+            assert gcd(*(a - A.min for a in A)) == 1
+            assert intset_module._takes_hash_path(A)
+            assert sumset(A).elements == tuple(sorted(naive_sumset(A)))
+            assert diffset(A).elements == tuple(sorted(naive_diffset(A)))
+
+    def test_wide_set_past_the_pair_limit_packs(self):
+        # 0..2047 and 2**24 + 1: gcd 1, 2049 elements past 2**24, where the
+        # rule with a span cut refused it.  Its sums are [0, 4094], 2**24 + 1
+        # + [0, 2047] and 2**25 + 2; its differences [-2047, 2047] and
+        # +-(2**24 + 1 - [0, 2047]).  Listing the sums' 2**25-bit mask would
+        # take most of a second, so they are counted.
+        top = 2**24 + 1
+        A = IntSet((*range(2048), top))
+        assert not intset_module._takes_hash_path(A)
+        assert _routed(reference_path_rule, A)[1].endswith("exceed the limit of 4194304")
+        assert _counts(A) == (4095 + 2048 + 1, 4095 + 2 * 2048)
+        above = range(top - 2047, top + 1)
+        assert diffset(A).elements == (*(-v for v in reversed(above)), *range(-2047, 2048), *above)
 
 
 # Unions of short progressions, one per 2**25-wide slot: wide enough to hash,
@@ -967,7 +1105,7 @@ class TestBoundRefusal:
         (affine(interval(-1500, 1500), 3, _NEAR_TOP), False, False),
         (affine(interval(-1500, 1500), 3, -_NEAR_TOP), False, False),
         (make_set([_NEAR_TOP - 2**40, *range(_NEAR_TOP - 10, _NEAR_TOP + 10)]), False, True),
-        # A difference passes the bound only past the span cut, at -diameter.
+        # A difference passes the bound only at -diameter, on a set that wide.
         (make_set([-(2**62) + 1, *range(0, 2**40 * 2046, 2**40), 2**62 - 1]), True, True),
         (make_set([-(2**62) + 1, 2**62 - 1]), True, True),
     ])
@@ -1069,11 +1207,11 @@ class TestCountsWithoutUnpacking:
 
     def test_hash_path_at_the_pair_limit(self, monkeypatch):
         # |A| = 2048 is the largest set the hash path takes.  A Sidon set of
-        # 2048 elements, diameter 2*2053*2047 below the span cut: counted
+        # 2048 elements, diameter 2*2053*2047 below 2**24: counted
         # without a merge, every pair sum and positive difference distinct.
         A = make_set(2 * 2053 * k + k * k % 2053 for k in range(2048))
         assert len(A) ** 2 == intset_module._PAIR_LIMIT
-        assert A.diameter < intset_module._BITSET_SPAN_LIMIT
+        assert A.diameter < altchains.chains._BITSET_SPAN_LIMIT
         assert intset_module._takes_hash_path(A)
         self._refuse(monkeypatch, "_merged")
         p = profile(A)
@@ -1082,11 +1220,12 @@ class TestCountsWithoutUnpacking:
 
     @pytest.mark.parametrize("count_first", [True, False])
     def test_hash_path_progression_at_the_pair_limit(self, count_first):
-        # A 2048-term progression past the span cut: every sum and difference
+        # A 2048-term progression wider than 2**24: every sum and difference
         # repeats, and both read as their closed forms in either order.
         step = 2**25
         A = IntSet(tuple(i * step for i in range(2048)))
-        assert intset_module._takes_hash_path(A) and A.diameter > intset_module._BITSET_SPAN_LIMIT
+        assert A.diameter > altchains.chains._BITSET_SPAN_LIMIT
+        assert intset_module._takes_hash_path(A)
         S, D = sumset(A), diffset(A)
         if count_first:
             assert (len(S), len(D)) == (4095, 4095)

@@ -94,7 +94,7 @@ class TestOneKernelPass:
         assert sumset_calls == [8, 8]
 
     def test_wide_base_is_merged_not_counted(self, monkeypatch):
-        # Past the span cut len() would count the pair sums through a set; the
+        # On the hash path len() would count the pair sums through a set; the
         # base's sums and differences are read, so only their merge runs.
         def refuse(rows):
             raise AssertionError("a hash-path count ran")

@@ -135,6 +135,15 @@ class TestIntervalLemma:
             check_interval_lemma(10**10, 5)
         assert time.perf_counter() - start < 1
 
+    def test_answered_from_counts(self, monkeypatch):
+        # B+B and B-B are counted, never listed.
+        def refuse(*args):
+            raise AssertionError("a kernel result was listed")
+
+        monkeypatch.setattr(altchains.intset, "_unpack", refuse)
+        assert check_interval_lemma(5000, 17) is True
+        assert check_interval_lemma(262000, 131000) is True
+
     def test_lemma_statement_directly(self):
         # independent spot check of the identity the lemma asserts
         B = make_set(v for v in range(5) if v != 2)
